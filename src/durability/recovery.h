@@ -13,6 +13,10 @@
 // parity. The images ARE the checkpoint's block contents ("the bytes on
 // the platter"); the slot-owns-images discipline means a crash anywhere
 // inside a checkpoint leaves the OTHER slot's manifest + images intact.
+// An image copies only the device's allocated blocks (plus its allocation
+// map and free pool), so a checkpoint costs O(live blocks), however far
+// merges have pushed the id space: freed ids are scrubbed on reuse, so
+// leaving their crash-time bytes in place after a restore is safe.
 //
 // recover(fresh) rebuilds a just-constructed table (same factory config)
 // behind the crash: thaw everything, pick the newest valid manifest

@@ -209,12 +209,12 @@ std::span<const Word> BlockDevice::inspect(BlockId id) const {
 BlockDevice::Image BlockDevice::captureImage() const {
   Image image;
   image.words_per_block = words_per_block_;
-  image.words.resize(next_id_ * words_per_block_);
+  image.words.resize(blocks_in_use_ * words_per_block_);
+  auto out = image.words.begin();
   for (BlockId id = 0; id < next_id_; ++id) {
+    if (!allocated_[id]) continue;
     const Word* p = storage_->load(id);
-    std::copy(p, p + words_per_block_,
-              image.words.begin() +
-                  static_cast<std::ptrdiff_t>(id * words_per_block_));
+    out = std::copy(p, p + words_per_block_, out);
   }
   image.allocated = allocated_;
   image.allocated.resize(next_id_);
@@ -230,11 +230,12 @@ void BlockDevice::restoreImage(const Image& image) {
                                                 << " vs " << words_per_block_);
   next_id_ = image.next_id;
   if (next_id_ > 0) ensureBacking(next_id_ - 1);
+  auto src = image.words.begin();
   for (BlockId id = 0; id < next_id_; ++id) {
-    const auto src =
-        image.words.begin() + static_cast<std::ptrdiff_t>(id * words_per_block_);
+    if (!image.allocated[id]) continue;
     Word* p = storage_->frame(id);
     std::copy(src, src + static_cast<std::ptrdiff_t>(words_per_block_), p);
+    src += static_cast<std::ptrdiff_t>(words_per_block_);
     backendStore(IoOpKind::kWrite, id);
   }
   allocated_ = image.allocated;

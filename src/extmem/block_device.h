@@ -245,14 +245,20 @@ class BlockDevice {
   void thaw() noexcept { frozen_ = false; }
   bool frozen() const noexcept { return frozen_; }
 
-  /// Full value snapshot of the device's durable state: block contents,
-  /// allocation map, free pool, id-space watermark. Statistics, latency
-  /// and fault policies are deliberately excluded. Uncounted — this is
-  /// the checkpoint primitive, the in-memory stand-in for "the bytes that
-  /// were on the platter when the checkpoint completed".
+  /// Full value snapshot of the device's durable state: live block
+  /// contents, allocation map, free pool, id-space watermark. Statistics,
+  /// latency and fault policies are deliberately excluded. Uncounted —
+  /// this is the checkpoint primitive, the in-memory stand-in for "the
+  /// bytes that were on the platter when the checkpoint completed".
+  /// Only allocated ids are imaged: a freed id's bytes are dead, because
+  /// every reuse zeroes the frame (and scrubs the slot on files) before
+  /// anyone reads it, so a capture costs blocksInUse() block copies no
+  /// matter how far the id space has grown.
   struct Image {
     std::size_t words_per_block = 0;
-    std::vector<Word> words;  // next_id blocks, words_per_block each
+    // blocks_in_use blocks of words_per_block each: the allocated ids in
+    // increasing id order.
+    std::vector<Word> words;
     std::vector<std::uint8_t> allocated;
     std::map<std::size_t, std::vector<BlockId>> free_pool;
     BlockId next_id = 0;
@@ -260,7 +266,8 @@ class BlockDevice {
   };
   Image captureImage() const;
   /// Overwrite the device's entire durable state with `image` (geometry
-  /// must match). Does not touch the frozen flag, statistics or policies.
+  /// must match): writes back the imaged live blocks and leaves freed ids
+  /// as they are. Does not touch the frozen flag, statistics or policies.
   void restoreImage(const Image& image);
 
  private:

@@ -58,8 +58,13 @@ void ChainingHashTable::destroy() {
     // pointers — without the flush we would free along stale chains.
     flushCache();
     // Uncounted traversal: deallocation is metadata bookkeeping, not data
-    // transfer (the owner of a real disk would drop the whole file).
-    for (std::uint64_t j = 0; j < config_.bucket_count; ++j) {
+    // transfer (the owner of a real disk would drop the whole file). The
+    // walk ends once overflow_blocks_ blocks are freed (the audit holds
+    // that counter to the layout), so a table without overflow — the
+    // common case at load <= 1/2 — tears down without reading a block.
+    std::uint64_t freed = 0;
+    for (std::uint64_t j = 0;
+         j < config_.bucket_count && freed < overflow_blocks_; ++j) {
       BlockId id = primaryBlock(j);
       ConstBucketPage page(ctx_.device->inspect(id));
       BlockId overflow = page.hasNext() ? page.next() : kInvalidBlock;
@@ -67,6 +72,7 @@ void ChainingHashTable::destroy() {
         ConstBucketPage opage(ctx_.device->inspect(overflow));
         const BlockId next = opage.hasNext() ? opage.next() : kInvalidBlock;
         io().free(overflow);
+        ++freed;
         overflow = next;
       }
     }

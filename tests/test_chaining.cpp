@@ -4,6 +4,7 @@
 
 #include <unordered_map>
 
+#include "extmem/faulty_file_ops.h"
 #include "table_test_util.h"
 #include "tables/cursor.h"
 
@@ -200,6 +201,44 @@ TEST(Chaining, DestroyReleasesAllBlocks) {
     EXPECT_EQ(rig.device->blocksInUse(), 0u);
   }
   EXPECT_EQ(rig.device->blocksInUse(), 0u);  // destructor after destroy: ok
+
+  // On files, count the preads teardown makes: the chain walk stops once
+  // overflowBlocks() blocks are freed, so a table without overflow reads
+  // nothing, and one whose only chain hangs off bucket 0 reads just that
+  // chain.
+  extmem::FaultyFileOps shim(/*seed=*/1);
+  extmem::StorageOptions storage = exthash::testing::testStorageOptions();
+  storage.backend = extmem::StorageOptions::Backend::kFile;
+  storage.file_ops = &shim;
+  rig.device = std::make_unique<extmem::BlockDevice>(
+      rig.device->wordsPerBlock(), storage);
+  const auto preadsDuringDestroy = [&](ChainingHashTable& table) {
+    const std::uint64_t before = shim.count(extmem::FileSyscall::kPread);
+    table.destroy();
+    return shim.count(extmem::FileSyscall::kPread) - before;
+  };
+  {
+    ChainingHashTable table(rig.context(), {64, BucketIndexer{}});
+    for (const auto k : distinctKeys(32)) table.insert(k, 1);
+    ASSERT_EQ(table.overflowBlocks(), 0u);
+    EXPECT_EQ(preadsDuringDestroy(table), 0u);
+    EXPECT_EQ(rig.device->blocksInUse(), 0u);
+  }
+  {
+    // The pool holds only the 64-block extent freed above, so this
+    // 16-block extent is fresh at ids 64..79, and bucket 0's keys are
+    // the ones whose primary block is id 64.
+    ChainingHashTable table(rig.context(), {16, BucketIndexer{}});
+    std::vector<std::uint64_t> early;
+    for (const auto k : distinctKeys(512)) {
+      if (*table.primaryBlockOf(k) == 64) early.push_back(k);
+    }
+    ASSERT_GE(early.size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) table.insert(early[i], 1);
+    ASSERT_EQ(table.overflowBlocks(), 1u);
+    EXPECT_EQ(preadsDuringDestroy(table), 2u);  // primary + its overflow
+    EXPECT_EQ(rig.device->blocksInUse(), 0u);
+  }
 }
 
 TEST(Chaining, ModIndexerWorksForPointOps) {

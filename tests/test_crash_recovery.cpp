@@ -12,6 +12,7 @@
 // (ShardedTable::resetShard) lives at the bottom.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <vector>
@@ -532,6 +533,108 @@ TEST(CrashRecoveryFileBacked, SyscallPowerCutAgainstAckLedgerOracle) {
                    << " point=syscall-power-cut");
       runPowerCutEpisode(kind, seed);
     }
+  }
+}
+
+// Checkpoint images hold only allocated blocks, so after recover() every
+// freed id keeps whatever bytes the crashed run left there. Keep serving
+// the recovered table through the rest of the universe — merges must take
+// extents from the free pool, allocations the id space did not grow for —
+// and check the whole universe against the oracle. Stale records that
+// survive a reuse show as resurrected or wrong values, or (every stale
+// record of this insert-only stream carries its key's true value) as
+// extra copies in the layout, which must hold each live key exactly once.
+void runRecoverThenReuse(TableKind kind) {
+  const StorageOptions storage = fileStorage();
+  testing::TestRig rig(8);
+  rig.device = std::make_unique<BlockDevice>(rig.device->wordsPerBlock(),
+                                             storage);
+  const GeneralConfig cfg = sweepConfig(storage);
+  const std::vector<std::uint64_t> universe =
+      testing::distinctKeys(4096, /*seed=*/99);
+
+  auto table = makeTable(kind, rig.context(), cfg);
+  DurabilityManager dm(rig.device->wordsPerBlock(), storage);
+  dm.begin(*table);
+
+  PipelineConfig pcfg;
+  pcfg.batch_capacity = kWindow;
+  pcfg.max_pending_batches = 2;
+  pcfg.wal = &dm.wal();
+  AckLedger ledger(kWindow);
+  std::size_t next = 0;
+  // One window of fresh keys, then a checkpoint every kCheckpointEvery.
+  auto ingestWindow = [&](IngestPipeline& pipe,
+                          tables::ExternalHashTable& target) {
+    for (std::size_t i = 0; i < kWindow; ++i, ++next) {
+      const Op op = Op::insertOp(universe[next], 2 * next + 1);
+      pipe.submit(op);
+      ledger.submit(op);
+      if ((next + 1) % kCheckpointEvery == 0) {
+        pipe.submitMaintenance([&dm, &target] { dm.checkpoint(target); });
+      }
+    }
+  };
+
+  // 544 ops: the last 32 land after the last checkpoint, so the crashed
+  // run leaves post-checkpoint bytes on the table files.
+  {
+    IngestPipeline pipe(*table, pcfg);
+    while (next < 544) ingestWindow(pipe, *table);
+    pipe.drain();
+  }
+  ledger.seal();
+  dm.freezeAll(*table);
+  table.reset();
+  rig.device->thaw();
+
+  auto fresh = makeTable(kind, rig.context(), cfg);
+  const RecoveryResult result = dm.recover(*fresh);
+  EXPECT_EQ(result.recovered_lsn, ledger.sealedWindows());
+
+  // Allocations served from the pool leave the id space where it was.
+  auto pooledAllocations = [&] {
+    std::int64_t pooled = 0;
+    for (std::size_t i = 0; i < fresh->durableDeviceCount(); ++i) {
+      const BlockDevice& device = fresh->durableDevice(i);
+      pooled += static_cast<std::int64_t>(device.stats().allocated_blocks) -
+                static_cast<std::int64_t>(device.idSpaceSize());
+    }
+    return pooled;
+  };
+  const std::int64_t pooled_at_recovery = pooledAllocations();
+  {
+    IngestPipeline pipe(*fresh, pcfg);
+    while (next < universe.size()) ingestWindow(pipe, *fresh);
+    pipe.drain();
+  }
+  ledger.seal();
+  ASSERT_GT(pooledAllocations(), pooled_at_recovery)
+      << "no merge reused a pooled extent";
+
+  const auto expected = ledger.stateThroughLsn(dm.wal().durableLsn());
+  std::vector<std::uint64_t> live;
+  for (const std::uint64_t key : universe) {
+    const auto got = fresh->lookup(key);
+    const auto it = expected.find(key);
+    if (it == expected.end() || !it->second.has_value()) {
+      EXPECT_EQ(got, std::nullopt) << "key " << key << " resurrected";
+    } else {
+      EXPECT_EQ(got, it->second) << "key " << key << " lost or stale";
+      live.push_back(key);
+    }
+  }
+  testing::CountingVisitor layout;
+  fresh->visitLayout(layout);
+  std::sort(live.begin(), live.end());
+  std::sort(layout.keys.begin(), layout.keys.end());
+  EXPECT_EQ(layout.keys, live);
+}
+
+TEST(CrashRecoveryFileBacked, RecoverThenReusePooledExtents) {
+  for (const TableKind kind : {TableKind::kBuffered, TableKind::kSharded}) {
+    SCOPED_TRACE(tableKindName(kind));
+    runRecoverThenReuse(kind);
   }
 }
 
