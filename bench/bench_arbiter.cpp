@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
                      "(open at ui.perfetto.dev)");
   args.addStringFlag("metrics", "",
                      "write a Prometheus-format metrics snapshot here "
-                     "(families need -DEXTHASH_TELEMETRY=ON)");
+                     "(turns the telemetry latch on)");
   if (!args.parse(argc, argv)) return 0;
   const std::size_t n = args.getUint("n");
   const std::size_t b = args.getUint("b");
@@ -280,8 +280,8 @@ int main(int argc, char** argv) {
   EXTHASH_CHECK_MSG(frames >= 8, "need at least 8 frame-equivalents");
 
   // Asking for either sink is an explicit opt-in: arm the runtime latch so
-  // telemetry builds populate the instrumentation sites without also
-  // needing the EXTHASH_TELEMETRY environment variable.
+  // the instrumentation sites record without also needing the
+  // EXTHASH_TELEMETRY environment variable.
   if (!trace_file.empty() || !metrics_file.empty()) obs::setEnabled(true);
   std::optional<obs::TraceSession> trace;
   if (!trace_file.empty()) {

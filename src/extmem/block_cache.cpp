@@ -10,26 +10,19 @@ namespace exthash::extmem {
 
 namespace {
 // Occupancy/dirty gauges are point-in-time: sampling them every access
-// would dominate the hit path, so a telemetry build snapshots every
-// kObsSamplePeriod fetch-path accesses (and at every eviction, which is
-// when occupancy actually changes shape).
-[[maybe_unused]] constexpr std::uint64_t kObsSamplePeriod = 1024;
+// would dominate the hit path, so with the telemetry latch on the cache
+// snapshots them every kObsSamplePeriod fetch-path accesses.
+constexpr std::uint64_t kObsSamplePeriod = 1024;
 }  // namespace
 
-// Gauge + trace-counter snapshot of the cache's occupancy shape. Compiles
-// to nothing without EXTHASH_TELEMETRY_MODE (the call sites below keep
-// the sampling-clock increment, one untimed uint64 add).
-#ifdef EXTHASH_TELEMETRY_MODE
+// Gauge + trace-counter snapshot of the cache's occupancy shape.
 void BlockCache::obsSampleGauges() const {
   EXTHASH_OBS_GAUGE("exthash_cache_resident_frames", frames_.size());
   EXTHASH_OBS_GAUGE("exthash_cache_capacity_frames", capacity_blocks_);
   EXTHASH_OBS_GAUGE("exthash_cache_dirty_frames", dirty_blocks_);
-  if (obs::enabled()) {
-    obs::traceCounter("cache resident", static_cast<double>(frames_.size()));
-    obs::traceCounter("cache dirty", static_cast<double>(dirty_blocks_));
-  }
+  EXTHASH_OBS_COUNTER_SAMPLE("cache resident", frames_.size());
+  EXTHASH_OBS_COUNTER_SAMPLE("cache dirty", dirty_blocks_);
 }
-#endif
 
 BlockCache::BlockCache(BlockDevice& device, MemoryBudget& budget,
                        std::size_t capacity_blocks, WritePolicy policy,
@@ -85,9 +78,9 @@ BlockCache::Frame& BlockCache::insertFrame(BlockId id, Frame frame) {
 }
 
 BlockCache::Frame& BlockCache::fetch(BlockId id, bool mark_dirty) {
-#ifdef EXTHASH_TELEMETRY_MODE
-  if (++obs_accesses_ % kObsSamplePeriod == 0) obsSampleGauges();
-#endif
+  if (obs::enabled() && ++obs_accesses_ % kObsSamplePeriod == 0) {
+    obsSampleGauges();
+  }
   auto it = frames_.find(id);
   if (it != frames_.end()) {
     ++hits_;

@@ -356,14 +356,12 @@ class BlockCache {
   std::uint32_t give_up_threshold_ = 8;
   std::size_t dirty_blocks_ = 0;
   std::size_t quarantined_frames_ = 0;
-  // Telemetry sampling clock: counts fetch()-path accesses so a telemetry
-  // build can snapshot occupancy/dirty gauges every kObsSamplePeriod
-  // accesses instead of per event. One word; untouched in default builds.
+  // Telemetry sampling clock: counts fetch()-path accesses while the
+  // telemetry latch is on, so occupancy/dirty gauges are snapshot every
+  // kObsSamplePeriod accesses instead of per event.
   std::uint64_t obs_accesses_ = 0;
 
-#ifdef EXTHASH_TELEMETRY_MODE
   void obsSampleGauges() const;
-#endif
 };
 
 }  // namespace exthash::extmem

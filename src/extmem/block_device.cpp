@@ -228,6 +228,16 @@ void BlockDevice::restoreImage(const Image& image) {
   EXTHASH_CHECK_MSG(image.words_per_block == words_per_block_,
                     "image geometry mismatch: " << image.words_per_block
                                                 << " vs " << words_per_block_);
+  // Ids past the image's watermark become never-allocated again, and a
+  // fresh allocation trusts those to read back as zeros. On a persistent
+  // medium they still hold the rolled-back run's bytes — scrub them.
+  if (storage_persistent_) {
+    for (BlockId id = image.next_id; id < next_id_; ++id) {
+      Word* p = storage_->frame(id);
+      std::fill(p, p + words_per_block_, Word{0});
+      backendStore(IoOpKind::kWrite, id);
+    }
+  }
   next_id_ = image.next_id;
   if (next_id_ > 0) ensureBacking(next_id_ - 1);
   auto src = image.words.begin();

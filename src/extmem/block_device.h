@@ -266,8 +266,9 @@ class BlockDevice {
   };
   Image captureImage() const;
   /// Overwrite the device's entire durable state with `image` (geometry
-  /// must match): writes back the imaged live blocks and leaves freed ids
-  /// as they are. Does not touch the frozen flag, statistics or policies.
+  /// must match): writes back the imaged live blocks, leaves freed ids as
+  /// they are, and on persistent storage zeroes the ids above the image's
+  /// watermark. Does not touch the frozen flag, statistics or policies.
   void restoreImage(const Image& image);
 
  private:

@@ -20,7 +20,7 @@
 // Accounting: each re-attempt increments IoStats::io_retries; an escape
 // (budget exhausted, or permanent) increments IoStats::io_gave_up; every
 // injected fault increments IoStats::faults_injected. Mirrored to the
-// obs:: metrics registry in telemetry builds.
+// obs:: metrics registry while the telemetry latch is on.
 #pragma once
 
 #include <cstdint>

@@ -6,9 +6,10 @@
 // chose to record"; the flight recorder answers the harder production
 // question "what was happening JUST BEFORE it blew up", without anyone
 // having chosen to record anything. arm() starts a ring-mode TraceSession
-// (Options::ring) as the process-wide current session, so every span the
-// instrumentation emits lands in a small per-thread ring that always
-// holds the recent past. Two fatal paths trigger a dump:
+// (Options::ring) as the process-wide current session, so every span
+// emitted (the library's own sites while the telemetry latch is on) lands
+// in a small per-thread ring that always holds the recent past. Two fatal
+// paths trigger a dump:
 //
 //   - a CheckFailure: arm() installs a trampoline into
 //     exthash::detail::checkFailureHook(), so EXTHASH_CHECK failures dump

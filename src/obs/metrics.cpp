@@ -9,28 +9,9 @@ namespace exthash::obs {
 
 namespace {
 
-bool computeEnabledFromEnv() {
-#ifdef EXTHASH_TELEMETRY_MODE
-  // A telemetry build defaults ON unless the env var explicitly disables.
-  const char* env = std::getenv("EXTHASH_TELEMETRY");
-  if (env == nullptr) return true;
-  return *env != '\0' && std::string_view(env) != "0";
-#else
+bool enabledFromEnv() {
   const char* env = std::getenv("EXTHASH_TELEMETRY");
   return env != nullptr && *env != '\0' && std::string_view(env) != "0";
-#endif
-}
-
-std::atomic<bool>& enabledFlag() noexcept {
-  static std::atomic<bool> flag{computeEnabledFromEnv()};
-  return flag;
-}
-
-std::uint64_t steadyNowNs() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 /// Family name for the # TYPE line: everything before the label block.
@@ -68,12 +49,10 @@ constexpr const char* kSummaryQuantileLabels[] = {
 
 }  // namespace
 
-bool enabled() noexcept {
-  return enabledFlag().load(std::memory_order_relaxed);
-}
+std::atomic<bool> internal::telemetry_latch{enabledFromEnv()};
 
 void setEnabled(bool on) noexcept {
-  enabledFlag().store(on, std::memory_order_relaxed);
+  internal::telemetry_latch.store(on, std::memory_order_relaxed);
 }
 
 std::uint64_t LatencyHistogram::valueAtQuantile(double q) const noexcept {
@@ -101,13 +80,11 @@ void LatencyHistogram::reset() noexcept {
   max_.store(0, std::memory_order_relaxed);
 }
 
-ScopedLatencyTimer::ScopedLatencyTimer(LatencyHistogram* hist) noexcept
-    : hist_(hist) {
-  if (hist_ != nullptr) start_ns_ = steadyNowNs();
-}
-
-ScopedLatencyTimer::~ScopedLatencyTimer() {
-  if (hist_ != nullptr) hist_->record(steadyNowNs() - start_ns_);
+std::uint64_t ScopedLatencyTimer::nowNs() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 MetricsRegistry& MetricsRegistry::global() {

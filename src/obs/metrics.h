@@ -2,23 +2,19 @@
 // latency histograms behind a process-global MetricsRegistry, with a
 // Prometheus-exposition text sink and a CSV time-series sampler.
 //
-// Gating mirrors the EXTHASH_AUDIT pattern (util/audit.h), at two levels:
+// Every build compiles every instrumentation site (EXTHASH_OBS_COUNT /
+// _GAUGE / _TIMED below, and the span macros in obs/trace.h). One
+// runtime latch, enabled(), gates them all: it starts from the
+// EXTHASH_TELEMETRY environment variable and is switchable via
+// setEnabled() (what the benches' --trace/--metrics flags flip). With
+// the latch off a site costs one inlined relaxed load and a branch, and
+// leaves no registry entry behind.
 //
-//   compile time  the instrumentation macros below (EXTHASH_OBS_COUNT /
-//                 _GAUGE / _TIMED) expand to NOTHING unless the build
-//                 defines EXTHASH_TELEMETRY_MODE (CMake option
-//                 -DEXTHASH_TELEMETRY=ON). A default build carries zero
-//                 telemetry cost on the hot paths — not even a branch.
-//   run time      in a telemetry build the macros additionally check
-//                 enabled(): initialized from the EXTHASH_TELEMETRY
-//                 environment variable, and switchable via setEnabled()
-//                 (what the benches' --trace/--metrics flags flip).
-//
-// The classes themselves are ALWAYS compiled — tests exercise the
-// percentile math and the exposition format in every build, and a few
-// always-on consumers (IngestPipeline's apply-latency histogram, the
-// measurement runner's telemetry toggles) record through them directly,
-// gated by their own runtime flags rather than the macro.
+// The classes themselves are usable directly — tests exercise the
+// percentile math and the exposition format, and a few always-on
+// consumers (IngestPipeline's apply-latency histogram, the measurement
+// runner's telemetry toggles) record through them directly, gated by
+// their own runtime flags rather than the latch.
 //
 // Threading: Counter / Gauge / LatencyHistogram are lock-free — relaxed
 // atomics on the record path, CAS-max for maxima — and safe to record
@@ -45,22 +41,19 @@
 
 namespace exthash::obs {
 
-/// True when the build defines EXTHASH_TELEMETRY_MODE (the macros below
-/// are live instead of compiled out).
-constexpr bool compiledIn() noexcept {
-#ifdef EXTHASH_TELEMETRY_MODE
-  return true;
-#else
-  return false;
-#endif
-}
+namespace internal {
+/// The latch's storage, read only through enabled(). Initialized from the
+/// environment during static initialization of the library.
+extern std::atomic<bool> telemetry_latch;
+}  // namespace internal
 
 /// Runtime latch for the instrumentation macros: starts from the
 /// EXTHASH_TELEMETRY environment variable (anything but "" / "0" turns it
 /// on), flipped at runtime by setEnabled() — e.g. by a bench's --trace
-/// flag. Cheap (one relaxed atomic load); only consulted in telemetry
-/// builds, since otherwise no instrumentation site survives compilation.
-bool enabled() noexcept;
+/// flag. Inline and one relaxed atomic load, so an off site stays free.
+inline bool enabled() noexcept {
+  return internal::telemetry_latch.load(std::memory_order_relaxed);
+}
 void setEnabled(bool on) noexcept;
 
 /// Monotone event counter (Prometheus "counter").
@@ -165,18 +158,24 @@ class LatencyHistogram {
 };
 
 /// RAII latency sample: records elapsed nanoseconds into `hist` at scope
-/// exit. Pass nullptr to disarm (the runtime-disabled case) — then the
-/// constructor does not even read the clock.
+/// exit. Pass nullptr to disarm (the runtime-disabled case) — then
+/// neither end reads the clock, and the inlined null checks are all the
+/// timer costs.
 class ScopedLatencyTimer {
  public:
-  explicit ScopedLatencyTimer(LatencyHistogram* hist) noexcept;
-  ~ScopedLatencyTimer();
+  explicit ScopedLatencyTimer(LatencyHistogram* hist) noexcept
+      : hist_(hist), start_ns_(hist != nullptr ? nowNs() : 0) {}
+  ~ScopedLatencyTimer() {
+    if (hist_ != nullptr) hist_->record(nowNs() - start_ns_);
+  }
   ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
   ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
 
  private:
+  static std::uint64_t nowNs() noexcept;  // steady clock
+
   LatencyHistogram* hist_;
-  std::uint64_t start_ns_ = 0;
+  std::uint64_t start_ns_;
 };
 
 /// Named metrics, find-or-create. Metric names follow the scheme
@@ -230,13 +229,11 @@ void dumpMetrics(std::ostream& os);
 }  // namespace exthash::obs
 
 // ---------------------------------------------------------------------------
-// Instrumentation macros — compiled out entirely without
-// EXTHASH_TELEMETRY_MODE; runtime-gated on obs::enabled() with it. The
-// metric name must be a string literal (it seeds a function-local static
-// lookup, so the registry mutex is paid once per site, not per event).
+// Instrumentation macros — gated on obs::enabled(). The metric name must
+// be a string literal (it seeds a function-local static lookup, so the
+// registry mutex is paid once per site, not per event, and only once the
+// latch has been on at that site).
 // ---------------------------------------------------------------------------
-#ifdef EXTHASH_TELEMETRY_MODE
-
 #define EXTHASH_OBS_COUNT(name_literal, delta)                               \
   do {                                                                       \
     if (::exthash::obs::enabled()) {                                         \
@@ -258,21 +255,12 @@ void dumpMetrics(std::ostream& os);
 /// Time the rest of the enclosing scope into histogram `name_literal`.
 /// Declares a local; use once per scope.
 #define EXTHASH_OBS_TIMED(name_literal)                                      \
-  static ::exthash::obs::LatencyHistogram& exthash_obs_hist_ =               \
-      ::exthash::obs::MetricsRegistry::global().histogram(name_literal);     \
   ::exthash::obs::ScopedLatencyTimer exthash_obs_timer_(                     \
-      ::exthash::obs::enabled() ? &exthash_obs_hist_ : nullptr)
-
-#else  // !EXTHASH_TELEMETRY_MODE
-
-#define EXTHASH_OBS_COUNT(name_literal, delta) \
-  do {                                         \
-  } while (0)
-#define EXTHASH_OBS_GAUGE(name_literal, value) \
-  do {                                         \
-  } while (0)
-#define EXTHASH_OBS_TIMED(name_literal) \
-  do {                                  \
-  } while (0)
-
-#endif  // EXTHASH_TELEMETRY_MODE
+      ::exthash::obs::enabled()                                              \
+          ? [] {                                                             \
+              static ::exthash::obs::LatencyHistogram& hist =                \
+                  ::exthash::obs::MetricsRegistry::global().histogram(       \
+                      name_literal);                                         \
+              return &hist;                                                  \
+            }()                                                              \
+          : nullptr)

@@ -35,9 +35,11 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "extmem/memory_budget.h"
+#include "obs/metrics.h"
 
 namespace exthash::obs {
 
@@ -145,30 +147,26 @@ void traceInstant(const char* name, const char* cat = "exthash") noexcept;
 
 }  // namespace exthash::obs
 
-// Macro-gated span for library instrumentation sites: compiled out
-// entirely without EXTHASH_TELEMETRY_MODE (benches and the runner use
-// the TraceSpan class directly for their top-level phase spans, which
-// therefore work in every build).
-#ifdef EXTHASH_TELEMETRY_MODE
-#define EXTHASH_OBS_SPAN(var, name_literal, cat_literal) \
-  ::exthash::obs::TraceSpan var(name_literal, cat_literal)
-#define EXTHASH_OBS_SPAN_ARG(var, key_literal, value) \
-  var.arg(key_literal, static_cast<double>(value))
-#define EXTHASH_OBS_INSTANT(name_literal, cat_literal) \
-  ::exthash::obs::traceInstant(name_literal, cat_literal)
-#define EXTHASH_OBS_COUNTER_SAMPLE(name_literal, value) \
-  ::exthash::obs::traceCounter(name_literal, static_cast<double>(value))
-#else
-#define EXTHASH_OBS_SPAN(var, name_literal, cat_literal) \
-  do {                                                   \
+// Library instrumentation sites: gated on the telemetry latch
+// (obs::enabled()) like the metric macros, so a session started with the
+// latch off records only the spans its owner emits directly. Benches and
+// the runner use the TraceSpan class directly for their top-level phase
+// spans, which record whenever a session is current.
+#define EXTHASH_OBS_SPAN(var, name_literal, cat_literal)      \
+  std::optional<::exthash::obs::TraceSpan> var(std::nullopt); \
+  if (::exthash::obs::enabled()) (var).emplace(name_literal, cat_literal)
+#define EXTHASH_OBS_SPAN_ARG(var, key_literal, value)             \
+  do {                                                            \
+    if (var) (var)->arg(key_literal, static_cast<double>(value)); \
   } while (0)
-#define EXTHASH_OBS_SPAN_ARG(var, key_literal, value) \
-  do {                                                \
+#define EXTHASH_OBS_INSTANT(name_literal, cat_literal)            \
+  do {                                                            \
+    if (::exthash::obs::enabled())                                \
+      ::exthash::obs::traceInstant(name_literal, cat_literal);    \
   } while (0)
-#define EXTHASH_OBS_INSTANT(name_literal, cat_literal) \
-  do {                                                 \
+#define EXTHASH_OBS_COUNTER_SAMPLE(name_literal, value)           \
+  do {                                                            \
+    if (::exthash::obs::enabled())                                \
+      ::exthash::obs::traceCounter(name_literal,                  \
+                                   static_cast<double>(value));   \
   } while (0)
-#define EXTHASH_OBS_COUNTER_SAMPLE(name_literal, value) \
-  do {                                                  \
-  } while (0)
-#endif

@@ -24,7 +24,8 @@
 namespace exthash::tables {
 
 struct BufferBTreeConfig {
-  /// Cap on the fanout (0 = derive √b from the block size).
+  /// Cap on the fanout (0 = derive √b from the block size); the fanout
+  /// never drops below 2.
   std::size_t max_fanout_override = 0;
 };
 

@@ -20,31 +20,18 @@ inline std::uint64_t shardScramble(std::uint64_t key) noexcept {
   return splitmix64(key ^ 0x5111A9DE55555555ULL);
 }
 
-#ifdef EXTHASH_TELEMETRY_MODE
 // Per-shard labeled series (exthash_<name>{shard="s"}). These go through
 // the registry's find-or-create per call rather than a hoisted static —
 // the label varies — which is fine at once-per-dispatched-batch rate.
 void obsRecordShardBatch(const char* counter_family, std::size_t shard,
-                         std::size_t ops, std::size_t size_now) {
+                         std::size_t ops, const ExternalHashTable& table) {
   if (!obs::enabled() || ops == 0) return;
   auto& registry = obs::MetricsRegistry::global();
   const std::string label = "{shard=\"" + std::to_string(shard) + "\"}";
   registry.counter(std::string(counter_family) + label).inc(ops);
   registry.gauge("exthash_shard_size" + label)
-      .set(static_cast<double>(size_now));
+      .set(static_cast<double>(table.size()));
 }
-#endif
-
-// Compiles away entirely in default builds (the arguments have no side
-// effects at every call site below).
-#ifdef EXTHASH_TELEMETRY_MODE
-#define EXTHASH_SHARD_OBS(family, shard, ops, size_now) \
-  obsRecordShardBatch(family, shard, ops, size_now)
-#else
-#define EXTHASH_SHARD_OBS(family, shard, ops, size_now) \
-  do {                                                  \
-  } while (0)
-#endif
 
 }  // namespace
 
@@ -186,8 +173,8 @@ void ShardedTable::applyBatch(std::span<const Op> ops) {
   if (shards_.size() == 1) {
     const auto err =
         runGuarded(0, [&] { shards_[0].table->applyBatch(ops); });
-    EXTHASH_SHARD_OBS("exthash_shard_ops_total", 0, ops.size(),
-                      shards_[0].table->size());
+    obsRecordShardBatch("exthash_shard_ops_total", 0, ops.size(),
+                        *shards_[0].table);
     if (err) std::rethrow_exception(err);
     return;
   }
@@ -203,8 +190,8 @@ void ShardedTable::applyBatch(std::span<const Op> ops) {
       batch_errors[s] = runGuarded(
           s, [&] { shards_[s].table->applyBatch(per_shard[s]); });
     }
-    EXTHASH_SHARD_OBS("exthash_shard_ops_total", s, per_shard[s].size(),
-                      shards_[s].table->size());
+    obsRecordShardBatch("exthash_shard_ops_total", s, per_shard[s].size(),
+                        *shards_[s].table);
   });
   // Every healthy shard has applied its slice by now; the error still
   // surfaces to the caller (who may catch it and keep routing traffic —
@@ -218,8 +205,8 @@ void ShardedTable::lookupBatch(std::span<const std::uint64_t> keys,
   if (shards_.size() == 1) {
     const auto err =
         runGuarded(0, [&] { shards_[0].table->lookupBatch(keys, out); });
-    EXTHASH_SHARD_OBS("exthash_shard_lookups_total", 0, keys.size(),
-                      shards_[0].table->size());
+    obsRecordShardBatch("exthash_shard_lookups_total", 0, keys.size(),
+                        *shards_[0].table);
     if (err) std::rethrow_exception(err);
     return;
   }
@@ -241,8 +228,8 @@ void ShardedTable::lookupBatch(std::span<const std::uint64_t> keys,
         out[indices[k]] = sub_out[k];
       }
     });
-    EXTHASH_SHARD_OBS("exthash_shard_lookups_total", s, indices.size(),
-                      shards_[s].table->size());
+    obsRecordShardBatch("exthash_shard_lookups_total", s, indices.size(),
+                        *shards_[s].table);
   });
   // Healthy shards' results are filled in even when a shard faulted; the
   // faulted shard's slots keep their input value (nullopt for a fresh

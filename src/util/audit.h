@@ -10,9 +10,9 @@
 // MemoryArbiter, and IngestPipeline.
 //
 // Audit mode: barrier audits (IngestPipeline::drain, the sharded flush
-// barrier) run only when audit::enabled() — compiled on with the CMake
-// option -DEXTHASH_AUDIT=ON, or switched on at runtime by setting
-// EXTHASH_AUDIT=1 in the environment. Audits use uncounted inspection
+// barrier) run only when audit::enabled() — switched on at runtime by
+// setting EXTHASH_AUDIT=1 in the environment. Every build compiles every
+// audit. Audits use uncounted inspection
 // (BlockDevice::inspect) and never perturb the I/O accounting; the flush
 // they piggyback on is part of the barrier contract anyway.
 #pragma once
@@ -86,8 +86,8 @@ class AuditReport {
 
 namespace audit {
 
-/// Whether barrier audits run: true when built with -DEXTHASH_AUDIT=ON
-/// or when the environment sets EXTHASH_AUDIT to anything but "0" / "".
+/// Whether barrier audits run: true when the environment sets
+/// EXTHASH_AUDIT to anything but "0" / "".
 /// Explicit audit calls (tests) ignore this and always run.
 bool enabled() noexcept;
 

@@ -135,8 +135,8 @@ TradeoffMeasurement runMeasurement(tables::ExternalHashTable& table,
 
   // Optional trace session wrapping the whole measurement. The runner's
   // own phase spans (below) are plain TraceSpan uses, so the trace is
-  // non-empty in every build; telemetry builds add the library's
-  // macro-gated instrumentation spans. Buffers are charged to the table's
+  // never empty; with the telemetry latch on, the library's macro-gated
+  // instrumentation spans join them. Buffers are charged to the table's
   // budget when it is limited — tracing competes for `m` like everything
   // else.
   std::optional<obs::TraceSession> trace;

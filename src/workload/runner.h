@@ -67,14 +67,14 @@ struct MeasurementConfig {
   /// Submitted inserts between rebalances.
   std::size_t arbiter_interval = 4096;
   /// Record per-applyBatch wall latency into the measurement's apply
-  /// histogram (two steady_clock reads per applied batch/window). Works in
-  /// every build — the histogram is always compiled; only the macro-gated
-  /// instrumentation sites need EXTHASH_TELEMETRY.
+  /// histogram (two steady_clock reads per applied batch/window).
+  /// Independent of the telemetry latch, which gates only the library's
+  /// macro instrumentation sites.
   bool record_apply_latency = false;
   /// When non-empty, run under an obs::TraceSession and write the Chrome
   /// trace_event JSON here at the end. The runner's own phase spans
-  /// (ingest / checkpoint sampling) are emitted in every build; telemetry
-  /// builds add the library's instrumentation spans on top.
+  /// (ingest / checkpoint sampling) are always emitted; with the
+  /// telemetry latch on, the library's instrumentation spans join them.
   std::string trace_file;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "table_test_util.h"
 #include "util/assert.h"
 
@@ -193,6 +196,36 @@ TEST(BlockDeviceImage, LiveOnlyRoundTripOnFiles) {
   StorageOptions storage = testing::testStorageOptions();
   storage.backend = StorageOptions::Backend::kFile;
   checkLiveOnlyImageRoundTrip(storage);
+}
+
+// A fresh id above the restored watermark must read back as zeros, even
+// though the rolled-back run wrote that id before the restore.
+void checkFreshIdAboveRestoredWatermarkReadsZero(
+    const StorageOptions& storage) {
+  BlockDevice dev(8, storage);
+  dev.allocate();
+  dev.allocate();
+  const BlockDevice::Image image = dev.captureImage();
+
+  const BlockId third = dev.allocate();
+  dev.withOverwrite(third, [](std::span<Word> d) {
+    std::fill(d.begin(), d.end(), Word{0xABCD});
+  });
+
+  dev.restoreImage(image);
+  EXPECT_FALSE(dev.isAllocated(third));
+  EXPECT_EQ(dev.allocate(), third);
+  EXPECT_EQ(dev.readCopy(third), std::vector<Word>(8, 0));
+}
+
+TEST(BlockDeviceImage, FreshIdAboveRestoredWatermarkReadsZeroInMemory) {
+  checkFreshIdAboveRestoredWatermarkReadsZero(StorageOptions{});
+}
+
+TEST(BlockDeviceImage, FreshIdAboveRestoredWatermarkReadsZeroOnFiles) {
+  StorageOptions storage = testing::testStorageOptions();
+  storage.backend = StorageOptions::Backend::kFile;
+  checkFreshIdAboveRestoredWatermarkReadsZero(storage);
 }
 
 TEST(IoProbe, MeasuresDeltas) {

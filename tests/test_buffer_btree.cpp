@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 #include "table_test_util.h"
+#include "util/audit.h"
 
 namespace exthash::tables {
 namespace {
@@ -130,6 +132,36 @@ TEST(BufferBTree, NoBlockLeaks) {
     EXPECT_GT(rig.device->blocksInUse(), 0u);
   }
   EXPECT_EQ(rig.device->blocksInUse(), 0u);
+}
+
+TEST(BufferBTree, SplittingAFiveChildMemoryRootLeavesNoPivotlessNode) {
+  // b = 8 gives F = 2, so the memory root splits into nodes of at most
+  // keep + 1 = 2 children. Ten inserts graduate the root into two disk
+  // leaves (keys 100..500 | 600..1000); one batch then splits the left
+  // leaf in two and the right in three, so the memory root holds five
+  // children when it splits. Cutting them 2+2+1 would leave a disk node
+  // with one child and no pivot.
+  TestRig rig(8);
+  BufferBTreeTable table(rig.context());
+  for (std::uint64_t k = 100; k <= 1000; k += 100) table.insert(k, k);
+  ASSERT_EQ(table.height(), 2u);
+
+  std::vector<Op> batch;
+  for (std::uint64_t k = 101; k <= 107; ++k) {
+    batch.push_back(Op::insertOp(k, k));
+  }
+  for (std::uint64_t k = 1001; k <= 1015; ++k) {
+    batch.push_back(Op::insertOp(k, k));
+  }
+  table.applyBatch(batch);
+  ASSERT_EQ(table.height(), 3u);
+
+  AuditReport report;
+  table.validateLayout(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  for (const Op& op : batch) {
+    ASSERT_EQ(table.lookup(op.key).value(), op.value);
+  }
 }
 
 TEST(BufferBTree, CheaperInsertsThanPlainBTreeSameQueriesOrder) {

@@ -171,7 +171,7 @@ RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
     for (std::size_t i = 0; i < w.ops.size(); ++i) {
       try {
         pipe.submit(w.ops[i]);
-      } catch (...) {
+      } catch (const extmem::IoError&) {
         crashed = true;
         break;
       }
@@ -181,7 +181,7 @@ RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
       if ((i + 1) % kCheckpointEvery == 0 && i + 1 < w.ops.size()) {
         try {
           pipe.submitMaintenance([&dm, &table] { dm.checkpoint(*table); });
-        } catch (...) {
+        } catch (const extmem::IoError&) {
           crashed = true;
           break;
         }
@@ -190,7 +190,7 @@ RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
     if (!crashed) {
       try {
         pipe.drain();
-      } catch (...) {
+      } catch (const extmem::IoError&) {
         crashed = true;
       }
     }
@@ -465,7 +465,7 @@ void runPowerCutEpisode(TableKind kind, std::uint64_t seed) {
     for (std::size_t i = 0; i < w.ops.size(); ++i) {
       try {
         pipe.submit(w.ops[i]);
-      } catch (...) {
+      } catch (const extmem::IoError&) {
         crashed = true;
         break;
       }
@@ -473,7 +473,7 @@ void runPowerCutEpisode(TableKind kind, std::uint64_t seed) {
       if ((i + 1) % kCheckpointEvery == 0 && i + 1 < w.ops.size()) {
         try {
           pipe.submitMaintenance([&dm, &table] { dm.checkpoint(*table); });
-        } catch (...) {
+        } catch (const extmem::IoError&) {
           crashed = true;
           break;
         }
@@ -482,7 +482,7 @@ void runPowerCutEpisode(TableKind kind, std::uint64_t seed) {
     if (!crashed) {
       try {
         pipe.drain();
-      } catch (...) {
+      } catch (const extmem::IoError&) {
         crashed = true;
       }
     }

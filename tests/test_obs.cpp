@@ -2,7 +2,7 @@
 // distribution, bucket-geometry invariants, registry find-or-create and
 // the Prometheus / CSV sinks, Chrome-trace JSON round-trips through the
 // repo's own validator, concurrent recording (the TSAN-exercised case),
-// compile-time gating of the instrumentation macros, the cache-bypass
+// runtime-latch gating of the instrumentation macros, the cache-bypass
 // attribution counter, and the runner's telemetry toggles end-to-end.
 #include <gtest/gtest.h>
 
@@ -269,26 +269,46 @@ TEST(TraceCheck, RejectsMalformedDocuments) {
 }
 
 // ---------------------------------------------------------------------------
-// Compile-time gating
+// Runtime gating
 // ---------------------------------------------------------------------------
 
-TEST(TelemetryGating, MacrosMatchTheBuildMode) {
-  auto& reg = MetricsRegistry::global();
-  const bool was_enabled = enabled();
-  setEnabled(true);
+// One instance of every instrumentation macro, so the same sites run
+// first with the latch off and then with it on.
+void runEveryObsSite() {
   EXTHASH_OBS_COUNT("exthash_gating_probe_total", 1);
   EXTHASH_OBS_GAUGE("exthash_gating_probe_gauge", 1.0);
-  setEnabled(was_enabled);
-  if (compiledIn()) {
-    // Telemetry build: the sites are live once enabled.
-    EXPECT_TRUE(reg.has("exthash_gating_probe_total"));
-    EXPECT_EQ(reg.counter("exthash_gating_probe_total").value(), 1u);
-  } else {
-    // Default build: the macros expanded to nothing — no registration,
-    // no recording, regardless of the runtime latch.
-    EXPECT_FALSE(reg.has("exthash_gating_probe_total"));
-    EXPECT_FALSE(reg.has("exthash_gating_probe_gauge"));
+  {
+    EXTHASH_OBS_TIMED("exthash_gating_probe_ns");
+    EXTHASH_OBS_SPAN(span, "gating-probe", "test");
+    EXTHASH_OBS_SPAN_ARG(span, "n", 1);
   }
+  EXTHASH_OBS_INSTANT("gating-probe-instant", "test");
+  EXTHASH_OBS_COUNTER_SAMPLE("gating-probe-counter", 1);
+}
+
+TEST(TelemetryGating, RuntimeLatchGatesEverySite) {
+  auto& reg = MetricsRegistry::global();
+  const bool was_enabled = enabled();
+  TraceSession session;
+  session.start();
+
+  // Latch off: no registry entry, and nothing reaches the live session.
+  setEnabled(false);
+  runEveryObsSite();
+  EXPECT_FALSE(reg.has("exthash_gating_probe_total"));
+  EXPECT_FALSE(reg.has("exthash_gating_probe_gauge"));
+  EXPECT_FALSE(reg.has("exthash_gating_probe_ns"));
+  EXPECT_EQ(session.eventCount(), 0u);
+
+  // Latch on: the same sites record.
+  setEnabled(true);
+  runEveryObsSite();
+  setEnabled(was_enabled);
+  session.stop();
+  EXPECT_EQ(reg.counter("exthash_gating_probe_total").value(), 1u);
+  EXPECT_EQ(reg.gauge("exthash_gating_probe_gauge").value(), 1.0);
+  EXPECT_EQ(reg.histogram("exthash_gating_probe_ns").count(), 1u);
+  EXPECT_EQ(session.eventCount(), 3u);  // span, instant, counter sample
 }
 
 // ---------------------------------------------------------------------------
@@ -313,9 +333,6 @@ workload::MeasurementConfig telemetryRunConfig(std::size_t n) {
 }
 
 TEST(TelemetryEndToEnd, MetricFamiliesFromAnInstrumentedRun) {
-  if (!compiledIn()) {
-    GTEST_SKIP() << "needs -DEXTHASH_TELEMETRY=ON";
-  }
   const bool was_enabled = enabled();
   setEnabled(true);
   {
@@ -346,7 +363,8 @@ TEST(TelemetryEndToEnd, MetricFamiliesFromAnInstrumentedRun) {
 TEST(TelemetryEndToEnd, BufferedMergeReadsAreAttributedAsBypasses) {
   // The buffered table's Ĥ merge is a deliberate uncached stream; its
   // device reads must land in cache_bypass_reads (S2's annotation), in
-  // every build — the scope is plain code, not macro-gated.
+  // every run whatever the telemetry latch says — the scope is plain
+  // code, not macro-gated.
   TestRig rig(8);
   tables::GeneralConfig cfg;
   cfg.expected_n = 2048;
