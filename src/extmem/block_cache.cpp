@@ -299,8 +299,9 @@ void BlockCache::refreshFromDevice(BlockId id) {
   if (it != frames_.end()) {
     ++hits_;
     EXTHASH_OBS_COUNT("exthash_cache_hits_total", 1);
-    const auto data = device_.inspect(id);
-    std::copy(data.begin(), data.end(), it->second.data.begin());
+    device_.inspect(id, [&](std::span<const Word> data) {
+      std::copy(data.begin(), data.end(), it->second.data.begin());
+    });
     if (it->second.dirty) {
       it->second.dirty = false;
       --dirty_blocks_;
@@ -321,9 +322,9 @@ void BlockCache::refreshFromDevice(BlockId id) {
   EXTHASH_OBS_COUNT("exthash_cache_misses_total", 1);
   replacement_->onMiss(id);
   Frame frame;
-  frame.data.resize(device_.wordsPerBlock());
-  const auto data = device_.inspect(id);
-  std::copy(data.begin(), data.end(), frame.data.begin());
+  device_.inspect(id, [&](std::span<const Word> data) {
+    frame.data.assign(data.begin(), data.end());
+  });
   insertFrame(id, std::move(frame));
 }
 

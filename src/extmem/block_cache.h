@@ -74,24 +74,6 @@
 
 namespace exthash::extmem {
 
-namespace detail {
-
-/// invoke `call`, then `after`, propagating call's result (which may be
-/// void) — the write-through "device op, then refresh the frame" shape.
-template <class Call, class After>
-decltype(auto) invokeThen(Call&& call, After&& after) {
-  if constexpr (std::is_void_v<decltype(call())>) {
-    std::forward<Call>(call)();
-    std::forward<After>(after)();
-  } else {
-    auto result = std::forward<Call>(call)();
-    std::forward<After>(after)();
-    return result;
-  }
-}
-
-}  // namespace detail
-
 class BlockCache {
  public:
   enum class WritePolicy { kWriteThrough, kWriteBack };
@@ -109,11 +91,12 @@ class BlockCache {
   ///
   /// The frame is PINNED for the duration of fn: the tables' guarded
   /// scopes allocate and write fresh blocks while holding a span into the
-  /// current block (the chain-rewrite idiom, safe on the chunk-stable
-  /// device), so a nested cache access must never evict — and destroy —
-  /// the frame the outer span points into. Pinned frames are skipped by
-  /// eviction; the cache may exceed capacity by the nesting depth until
-  /// the next unpinned access shrinks it back.
+  /// current block (the chain-rewrite idiom, safe on the device, whose
+  /// nested accesses take frames of their own), so a nested cache access
+  /// must never evict — and destroy — the frame the outer span points
+  /// into. Pinned frames are skipped by eviction; the cache may exceed
+  /// capacity by the nesting depth until the next unpinned access shrinks
+  /// it back.
   template <class F>
   decltype(auto) withRead(BlockId id, F&& fn) {
     Frame& frame = fetch(id, /*mark_dirty=*/false);

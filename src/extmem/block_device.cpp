@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "obs/flight_recorder.h"
+#include "util/audit.h"
 
 namespace exthash::extmem {
 
@@ -72,26 +73,29 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
   }
 }
 
-const Word* BlockDevice::backendLoad(IoOpKind op, BlockId id) {
-  if (!storage_persistent_) return storage_->load(id);
+Word* BlockDevice::backendLoad(IoOpKind op, BlockId id, Word* frame,
+                               bool fetch) {
   return retryBackend(op, id,
-                      [&]() -> const Word* { return storage_->load(id); });
+                      [&] { return storage_->load(id, frame, fetch); });
 }
 
-Word* BlockDevice::backendLoadMutable(IoOpKind op, BlockId id) {
-  if (!storage_persistent_) return storage_->loadMutable(id);
-  return retryBackend(
-      op, id, [&]() -> Word* { return storage_->loadMutable(id); });
+void BlockDevice::backendStore(IoOpKind op, BlockId id, const Word* words) {
+  if (!storage_persistent_) return storage_->store(id, words);
+  retryBackend(op, id, [&] { storage_->store(id, words); });
 }
 
-Word* BlockDevice::backendFrame(BlockId id) {
-  // Frames live in memory on every backend — no syscall, no ladder.
-  return storage_->frame(id);
+Word* BlockDevice::acquireFrame() const {
+  if (frames_leased_ == frames_.size()) {
+    frames_.push_back(std::make_unique_for_overwrite<Word[]>(words_per_block_));
+  }
+  return frames_[frames_leased_++].get();
 }
 
-void BlockDevice::backendStore(IoOpKind op, BlockId id) {
-  if (!storage_persistent_) return;
-  retryBackend(op, id, [&] { storage_->store(id); });
+void BlockDevice::releaseFrame() const noexcept {
+  Word* frame = frames_[--frames_leased_].get();
+  if (audit::enabled()) {
+    std::fill(frame, frame + words_per_block_, kReleasedFrameWord);
+  }
 }
 
 void BlockDevice::sync() {
@@ -127,17 +131,18 @@ void BlockDevice::ensureBacking(BlockId last_id) {
 
 void BlockDevice::markAllocated(BlockId first, std::size_t count,
                                 bool reused) {
-  for (std::size_t i = 0; i < count; ++i) {
-    allocated_[first + i] = 1;
-    Word* p = storage_->frame(first + i);
-    std::fill(p, p + words_per_block_, Word{0});
-    // Fresh ids are zero on every backend (value-initialized arena;
-    // fallocate'd file regions read back as zeros). Reused ids may carry
-    // stale bytes on a persistent medium — scrub them there.
-    if (reused && storage_persistent_) {
-      backendStore(IoOpKind::kWrite, first + i);
+  // Fresh file slots read as zeros (fallocate'd, or scrubbed by
+  // restoreImage). Reused slots, and any arena slot (a memory restore
+  // leaves rolled-back blocks in place), may hold old bytes: zero them.
+  if (reused || !storage_persistent_) {
+    const FrameLease zeros(*this);
+    std::fill(zeros.get(), zeros.get() + words_per_block_, Word{0});
+    for (std::size_t i = 0; i < count; ++i) {
+      backendStore(IoOpKind::kWrite, first + i, zeros.get());
     }
   }
+  std::fill_n(allocated_.begin() + static_cast<std::ptrdiff_t>(first), count,
+              std::uint8_t{1});
   blocks_in_use_ += count;
   stats_.allocated_blocks += count;
 }
@@ -154,9 +159,11 @@ BlockId BlockDevice::allocateExtent(std::size_t count) {
     markAllocated(first, count, /*reused=*/true);
     return first;
   }
+  // Grow the backing before advancing the watermark: a failed fallocate
+  // (ENOSPC) then leaves the id space exactly as it was.
   const BlockId first = next_id_;
-  next_id_ += count;
-  ensureBacking(next_id_ - 1);
+  ensureBacking(first + count - 1);
+  next_id_ = first + count;
   markAllocated(first, count, /*reused=*/false);
   return first;
 }
@@ -194,27 +201,17 @@ void BlockDevice::writeCopy(BlockId id, std::span<const Word> contents) {
   });
 }
 
-std::span<const Word> BlockDevice::inspect(BlockId id) const {
-  checkLive(id);
-  // A frozen device performs no I/O at all — teardown walks (destructors
-  // of the doomed stack inspect chains to free them) must see the
-  // last-known frame contents instead of re-raising from a dead backend
-  // mid-unwind, which would terminate the process.
-  if (frozen_) return {storage_->peek(id), words_per_block_};
-  // Uncounted analysis path: no retry ladder, no statistics — a real
-  // syscall failure propagates as the backend threw it (attempt 1).
-  return {storage_->load(id), words_per_block_};
-}
-
 BlockDevice::Image BlockDevice::captureImage() const {
   Image image;
   image.words_per_block = words_per_block_;
   image.words.resize(blocks_in_use_ * words_per_block_);
-  auto out = image.words.begin();
+  Word* out = image.words.data();
   for (BlockId id = 0; id < next_id_; ++id) {
     if (!allocated_[id]) continue;
-    const Word* p = storage_->load(id);
-    out = std::copy(p, p + words_per_block_, out);
+    // Files pread straight into the image; memory hands back its slot.
+    const Word* p = storage_->load(id, out, /*fetch=*/true);
+    if (p != out) std::copy(p, p + words_per_block_, out);
+    out += words_per_block_;
   }
   image.allocated = allocated_;
   image.allocated.resize(next_id_);
@@ -232,21 +229,19 @@ void BlockDevice::restoreImage(const Image& image) {
   // fresh allocation trusts those to read back as zeros. On a persistent
   // medium they still hold the rolled-back run's bytes — scrub them.
   if (storage_persistent_) {
+    const FrameLease zeros(*this);
+    std::fill(zeros.get(), zeros.get() + words_per_block_, Word{0});
     for (BlockId id = image.next_id; id < next_id_; ++id) {
-      Word* p = storage_->frame(id);
-      std::fill(p, p + words_per_block_, Word{0});
-      backendStore(IoOpKind::kWrite, id);
+      backendStore(IoOpKind::kWrite, id, zeros.get());
     }
   }
+  if (image.next_id > 0) ensureBacking(image.next_id - 1);
   next_id_ = image.next_id;
-  if (next_id_ > 0) ensureBacking(next_id_ - 1);
-  auto src = image.words.begin();
+  const Word* src = image.words.data();
   for (BlockId id = 0; id < next_id_; ++id) {
     if (!image.allocated[id]) continue;
-    Word* p = storage_->frame(id);
-    std::copy(src, src + static_cast<std::ptrdiff_t>(words_per_block_), p);
-    src += static_cast<std::ptrdiff_t>(words_per_block_);
-    backendStore(IoOpKind::kWrite, id);
+    backendStore(IoOpKind::kWrite, id, src);
+    src += words_per_block_;
   }
   allocated_ = image.allocated;
   allocated_.resize(next_id_);

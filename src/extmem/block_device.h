@@ -1,10 +1,14 @@
 // Simulated block device for the Aggarwal–Vitter external memory model.
 //
 // The disk is an unbounded array of blocks of `wordsPerBlock()` 64-bit
-// words. All counted access goes through the guarded zero-copy calls
-// withRead / withWrite / withOverwrite, which hand the caller a std::span
-// into chunk-stable storage (blocks never move once allocated, so spans
-// stay valid even if the callback allocates more blocks).
+// words. All counted access goes through the guarded calls withRead /
+// withWrite / withOverwrite, which lend the callback a std::span over the
+// block, valid until it returns. In memory the span is the block's own
+// slot; on files it is a frame from the device's frame stack, filled by
+// pread and (for writes) pwritten back after the callback, so a file-backed
+// block is in memory only while a callback holds it. Nested accesses and
+// allocations take the next frame, so outer spans stay valid. Under
+// EXTHASH_AUDIT=1 a released frame is poisoned (kReleasedFrameWord).
 //
 // Where the bytes live is a construction-time choice (the StorageBackend
 // seam, extmem/storage_backend.h): the default MemStorage keeps the
@@ -19,9 +23,10 @@
 // needs O(1) words of memory, which is what makes the paper's address
 // function f "computable within memory".
 //
-// `inspect()` reads a block WITHOUT counting an I/O. It exists solely for
-// the analysis/introspection layer (zone accounting, tests); library code
-// on the query/update path must never use it.
+// `inspect(id, fn)` reads a block WITHOUT counting an I/O, lending fn the
+// same callback-scoped span. It exists solely for the analysis and
+// introspection layer (zone accounting, audits, teardown walks, tests);
+// library code on the query/update path must never use it.
 //
 // Fault injection: setFaultPolicy() installs a seeded FaultPolicy (see
 // extmem/fault.h) consulted BEFORE every counted access takes effect —
@@ -64,6 +69,25 @@ using Word = std::uint64_t;
 using BlockId = std::uint64_t;
 inline constexpr BlockId kInvalidBlock = ~static_cast<BlockId>(0);
 
+namespace detail {
+
+/// invoke `call`, then `after`, propagating call's result (which may be
+/// void) — the "run the access callback, then store (or refresh) the
+/// block" shape.
+template <class Call, class After>
+decltype(auto) invokeThen(Call&& call, After&& after) {
+  if constexpr (std::is_void_v<decltype(call())>) {
+    std::forward<Call>(call)();
+    std::forward<After>(after)();
+  } else {
+    decltype(auto) result = std::forward<Call>(call)();
+    std::forward<After>(after)();
+    return result;
+  }
+}
+
+}  // namespace detail
+
 class BlockDevice {
  public:
   /// A block holds `words_per_block` 64-bit words (header + payload).
@@ -102,15 +126,12 @@ class BlockDevice {
     } catch (const CrashRequested&) {
       crashNow(IoOpKind::kRead, id);
     }
-    const Word* p = backendLoad(IoOpKind::kRead, id);
-    ++stats_.reads;
-    if (bypass_depth_ > 0) ++stats_.cache_bypass_reads;
-    simulateLatency();
-    return std::forward<F>(fn)(std::span<const Word>(p, words_per_block_));
+    return access<IoOpKind::kRead>(id, fn);
   }
 
   /// Counted read-modify-write (cost 1 per the paper's footnote 2):
-  /// invokes fn(std::span<Word>) on the live block contents.
+  /// invokes fn(std::span<Word>) on the block contents, which are stored
+  /// back once fn returns.
   template <class F>
   decltype(auto) withWrite(BlockId id, F&& fn) {
     EXTHASH_OBS_TIMED("exthash_device_rmw_ns");
@@ -122,18 +143,7 @@ class BlockDevice {
       crashTornWrite(IoOpKind::kRmw, id, crash.torn_words,
                      /*zero_first=*/false, fn);
     }
-    Word* p = backendLoadMutable(IoOpKind::kRmw, id);
-    ++stats_.rmws;
-    simulateLatency();
-    const std::span<Word> block(p, words_per_block_);
-    if constexpr (std::is_void_v<std::invoke_result_t<F&, std::span<Word>>>) {
-      std::forward<F>(fn)(block);
-      backendStore(IoOpKind::kRmw, id);
-    } else {
-      decltype(auto) result = std::forward<F>(fn)(block);
-      backendStore(IoOpKind::kRmw, id);
-      return result;
-    }
+    return access<IoOpKind::kRmw>(id, fn);
   }
 
   /// Counted blind write: zeroes the block, then invokes fn(span<Word>) to
@@ -149,19 +159,7 @@ class BlockDevice {
       crashTornWrite(IoOpKind::kWrite, id, crash.torn_words,
                      /*zero_first=*/true, fn);
     }
-    Word* p = backendFrame(id);
-    ++stats_.writes;
-    simulateLatency();
-    std::fill(p, p + words_per_block_, Word{0});
-    const std::span<Word> block(p, words_per_block_);
-    if constexpr (std::is_void_v<std::invoke_result_t<F&, std::span<Word>>>) {
-      std::forward<F>(fn)(block);
-      backendStore(IoOpKind::kWrite, id);
-    } else {
-      decltype(auto) result = std::forward<F>(fn)(block);
-      backendStore(IoOpKind::kWrite, id);
-      return result;
-    }
+    return access<IoOpKind::kWrite>(id, fn);
   }
 
   /// Durability barrier: everything stored so far reaches the platter
@@ -214,8 +212,21 @@ class BlockDevice {
   std::vector<Word> readCopy(BlockId id);
   void writeCopy(BlockId id, std::span<const Word> contents);
 
-  /// UNCOUNTED inspection for analysis & invariant checks only.
-  std::span<const Word> inspect(BlockId id) const;
+  /// UNCOUNTED inspection for analysis & invariant checks only: invokes
+  /// fn(std::span<const Word>) on the block as the backend holds it (on
+  /// files, what survived a crash), with a span leased like a counted
+  /// access's. No retry ladder and no statistics: a real syscall failure
+  /// propagates as the backend threw it (attempt 1).
+  template <class F>
+  decltype(auto) inspect(BlockId id, F&& fn) const {
+    checkLive(id);
+    const FrameLease frame(*this);
+    return fn(std::span<const Word>(
+        storage_->load(id, frame.get(), /*fetch=*/true), words_per_block_));
+  }
+
+  /// Every word of a released frame under EXTHASH_AUDIT=1.
+  static constexpr Word kReleasedFrameWord = 0xDEADF4A3E0B10C4Bull;
 
   IoStats& stats() noexcept { return stats_; }
   const IoStats& stats() const noexcept { return stats_; }
@@ -251,9 +262,9 @@ class BlockDevice {
   /// this is the checkpoint primitive, the in-memory stand-in for "the
   /// bytes that were on the platter when the checkpoint completed".
   /// Only allocated ids are imaged: a freed id's bytes are dead, because
-  /// every reuse zeroes the frame (and scrubs the slot on files) before
-  /// anyone reads it, so a capture costs blocksInUse() block copies no
-  /// matter how far the id space has grown.
+  /// every reuse stores zeros over the block before anyone reads it, so
+  /// a capture costs blocksInUse() block copies no matter how far the id
+  /// space has grown.
   struct Image {
     std::size_t words_per_block = 0;
     // blocks_in_use blocks of words_per_block each: the allocated ids in
@@ -297,6 +308,64 @@ class BlockDevice {
     throw DeviceCrashed(op, id, "crash point fired");
   }
 
+  /// One frame of the device's frame stack, held for one callback. The
+  /// stack grows on demand, frames never move, and leases nest (LIFO).
+  class FrameLease {
+   public:
+    explicit FrameLease(const BlockDevice& device)
+        : device_(device), frame_(device.acquireFrame()) {}
+    ~FrameLease() { device_.releaseFrame(); }
+    FrameLease(const FrameLease&) = delete;
+    Word* get() const noexcept { return frame_; }
+
+   private:
+    const BlockDevice& device_;
+    Word* frame_;
+  };
+  Word* acquireFrame() const;
+  void releaseFrame() const noexcept;
+
+  /// A counted access past its fault gate: lend fn the block's words,
+  /// fetched (read, rmw) or zeroed (write), and store them back after fn
+  /// (rmw, write). Memory lends its slot in place; a persistent backend
+  /// gets a leased frame and the retry ladder.
+  template <IoOpKind Op, class F>
+  decltype(auto) access(BlockId id, F& fn) {
+    using Span = std::conditional_t<Op == IoOpKind::kRead,
+                                    std::span<const Word>, std::span<Word>>;
+    constexpr bool kFetch = Op != IoOpKind::kWrite;
+    if (!storage_persistent_) {
+      return fn(Span(counted<Op>(storage_->load(id, nullptr, kFetch)),
+                     words_per_block_));
+    }
+    const FrameLease frame(*this);
+    Word* p = counted<Op>(backendLoad(Op, id, frame.get(), kFetch));
+    if constexpr (Op == IoOpKind::kRead) {
+      return fn(Span(p, words_per_block_));
+    } else {
+      return detail::invokeThen(
+          [&]() -> decltype(auto) { return fn(Span(p, words_per_block_)); },
+          [&] { backendStore(Op, id, p); });
+    }
+  }
+
+  /// Tally the access and pay the emulated latency; a blind write's words
+  /// start zeroed. Returns `p`.
+  template <IoOpKind Op>
+  Word* counted(Word* p) noexcept {
+    if constexpr (Op == IoOpKind::kRead) {
+      ++stats_.reads;
+      if (bypass_depth_ > 0) ++stats_.cache_bypass_reads;
+    } else {
+      ++(Op == IoOpKind::kRmw ? stats_.rmws : stats_.writes);
+    }
+    simulateLatency();
+    if constexpr (Op == IoOpKind::kWrite) {
+      std::fill(p, p + words_per_block_, Word{0});
+    }
+    return p;
+  }
+
   /// Torn-write protocol: run the caller's fill on a scratch copy (so we
   /// know what the write WOULD have produced), persist only the first
   /// `torn_words` words of it, freeze, throw. torn_words = 0 models a
@@ -308,30 +377,28 @@ class BlockDevice {
                                    std::size_t torn_words, bool zero_first,
                                    F& fn) {
     std::vector<Word> scratch(words_per_block_, Word{0});
+    const FrameLease frame(*this);
     if (!zero_first) {
-      const Word* live = storage_->load(id);
+      const Word* live = storage_->load(id, frame.get(), /*fetch=*/true);
       std::copy(live, live + words_per_block_, scratch.begin());
     }
     fn(std::span<Word>(scratch.data(), words_per_block_));
     const std::size_t keep = std::min(torn_words, words_per_block_);
     if (keep > 0) {
-      Word* live = storage_->loadMutable(id);
+      Word* live = storage_->load(id, frame.get(), /*fetch=*/true);
       std::copy(scratch.begin(),
                 scratch.begin() + static_cast<std::ptrdiff_t>(keep), live);
-      storage_->store(id);
+      storage_->store(id, live);
     }
     frozen_ = true;
     throw DeviceCrashed(op, id, "crash point fired (torn write)");
   }
 
-  // Backend access, wrapped in the transient-retry ladder on persistent
-  // backends (no-overhead pass-through for MemStorage). Declared here,
-  // defined in the .cpp — the templates above are their only callers'
-  // public face, and they are not templates themselves.
-  const Word* backendLoad(IoOpKind op, BlockId id);
-  Word* backendLoadMutable(IoOpKind op, BlockId id);
-  Word* backendFrame(BlockId id);
-  void backendStore(IoOpKind op, BlockId id);
+  // The backend calls inside the transient-retry ladder (.cpp). Only
+  // persistent backends load through it; backendStore also serves the
+  // cold paths, as a straight call on MemStorage.
+  Word* backendLoad(IoOpKind op, BlockId id, Word* frame, bool fetch);
+  void backendStore(IoOpKind op, BlockId id, const Word* words);
   template <class Fn>
   auto retryBackend(IoOpKind op, BlockId id, Fn&& fn) -> decltype(fn());
 
@@ -340,8 +407,12 @@ class BlockDevice {
   void markAllocated(BlockId first, std::size_t count, bool reused);
 
   std::size_t words_per_block_;
-  std::unique_ptr<StorageBackend> storage_;  // chunk-stable frames inside
+  std::unique_ptr<StorageBackend> storage_;
   bool storage_persistent_ = false;
+  // FrameLease's stack: frames_[0, frames_leased_) are lent out (mutable:
+  // the const inspect() leases too).
+  mutable std::vector<std::unique_ptr<Word[]>> frames_;
+  mutable std::size_t frames_leased_ = 0;
   std::vector<std::uint8_t> allocated_;  // per-block liveness
   // Freed extents pooled by exact size for reuse; singles use size 1.
   std::map<std::size_t, std::vector<BlockId>> free_pool_;

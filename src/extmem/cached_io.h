@@ -31,9 +31,13 @@
 //                  dirty frame flushed over a reused id would corrupt
 //                  the new owner.
 //
+// Every span handed to fn is valid only until fn returns. Cache frames
+// are the only copies of a block that outlive an access: on files the
+// device keeps none, and a write-through refresh re-reads the file.
+//
 // Flush-barrier contract (write-back only): between flushes the cache,
 // not the device, is authoritative for dirty blocks. Every path that
-// reads the device directly — inspect(), visitLayout, destroy()'s
+// reads the device directly — inspect(id, fn), visitLayout, destroy()'s
 // deallocation walks, and any I/O-accounting read that must include the
 // deferred writes — must be preceded by flush(). The library inserts
 // these barriers at: table destructors / destroy(), visitLayout,

@@ -47,8 +47,7 @@ FileStorage::FileStorage(std::size_t words_per_block, std::string path,
     : words_per_block_(words_per_block),
       path_(std::move(path)),
       options_(options),
-      ops_(options.ops != nullptr ? options.ops : &realFileOps()),
-      mirror_(words_per_block) {
+      ops_(options.ops != nullptr ? options.ops : &realFileOps()) {
   EXTHASH_CHECK(words_per_block_ >= 1);
   if (options_.preallocate_blocks == 0) options_.preallocate_blocks = 1;
 
@@ -94,23 +93,25 @@ FileStorage::FileStorage(std::size_t words_per_block, std::string path,
     std::filesystem::path dir = std::filesystem::path(path_).parent_path();
     if (dir.empty()) dir = ".";
     const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dfd >= 0) {
-      int rc;
+    try {
+      int rc = 0;
       int eintr = 0;
-      try {
-        while ((rc = ops_->fsync(dfd)) < 0 && errno == EINTR &&
-               ++eintr < kEintrBudget) {
-        }
-      } catch (...) {
-        ::close(dfd);
-        throw;
+      while (dfd >= 0 && (rc = ops_->fsync(dfd)) < 0 && errno == EINTR &&
+             ++eintr < kEintrBudget) {
       }
-      const int err = errno;
-      ::close(dfd);
       if (rc < 0) {
-        throwErrno(IoOpKind::kWrite, kInvalidBlock, err, "fsync(dir)");
+        throwErrno(IoOpKind::kWrite, kInvalidBlock, errno, "fsync(dir)");
       }
+    } catch (...) {
+      // A throwing constructor runs no destructor: give back both fds and
+      // the bounce buffer, and take back the file this call created.
+      if (dfd >= 0) ::close(dfd);
+      if (bounce_ != nullptr) ::free(bounce_);
+      ::close(fd_);
+      ::unlink(path_.c_str());
+      throw;
     }
+    if (dfd >= 0) ::close(dfd);
   }
 }
 
@@ -121,7 +122,6 @@ FileStorage::~FileStorage() {
 }
 
 void FileStorage::ensureCapacity(BlockId block_count) {
-  mirror_.ensure(block_count);
   if (block_count <= allocated_blocks_) return;
   // Reserve in preallocate_blocks-sized extents: one fallocate covers
   // many future allocations, and reads of reserved-but-unwritten slots
@@ -153,10 +153,11 @@ void FileStorage::ensureCapacity(BlockId block_count) {
   allocated_blocks_ = target;
 }
 
-void FileStorage::readSlot(BlockId id, Word* dst) const {
+Word* FileStorage::load(BlockId id, Word* frame, bool fetch) {
+  if (!fetch) return frame;
   const std::size_t block_bytes = words_per_block_ * sizeof(Word);
   char* out = direct_active_ ? static_cast<char*>(bounce_)
-                             : reinterpret_cast<char*>(dst);
+                             : reinterpret_cast<char*>(frame);
   const std::size_t want = direct_active_ ? slot_bytes_ : block_bytes;
   const off_t base = static_cast<off_t>(id * slot_bytes_);
   std::size_t done = 0;
@@ -183,21 +184,22 @@ void FileStorage::readSlot(BlockId id, Word* dst) const {
                         "power lost during pread (syscall " +
                             std::to_string(cut.syscall_index) + ")");
   }
-  if (direct_active_) std::memcpy(dst, bounce_, block_bytes);
+  if (direct_active_) std::memcpy(frame, bounce_, block_bytes);
+  return frame;
 }
 
-void FileStorage::writeSlot(BlockId id, const Word* src) {
+void FileStorage::store(BlockId id, const Word* words) {
   const std::size_t block_bytes = words_per_block_ * sizeof(Word);
   const char* in;
   std::size_t want;
   if (direct_active_) {
-    std::memcpy(bounce_, src, block_bytes);
+    std::memcpy(bounce_, words, block_bytes);
     std::memset(static_cast<char*>(bounce_) + block_bytes, 0,
                 slot_bytes_ - block_bytes);
     in = static_cast<char*>(bounce_);
     want = slot_bytes_;
   } else {
-    in = reinterpret_cast<const char*>(src);
+    in = reinterpret_cast<const char*>(words);
     want = block_bytes;
   }
   const off_t base = static_cast<off_t>(id * slot_bytes_);
@@ -224,26 +226,6 @@ void FileStorage::writeSlot(BlockId id, const Word* src) {
                             std::to_string(cut.syscall_index) + ")");
   }
 }
-
-const Word* FileStorage::load(BlockId id) const {
-  Word* frame = mirror_.ptr(id);
-  readSlot(id, frame);
-  return frame;
-}
-
-Word* FileStorage::loadMutable(BlockId id) {
-  Word* frame = mirror_.ptr(id);
-  readSlot(id, frame);
-  return frame;
-}
-
-Word* FileStorage::frame(BlockId id) { return mirror_.ptr(id); }
-
-const Word* FileStorage::peek(BlockId id) const noexcept {
-  return mirror_.ptr(id);
-}
-
-void FileStorage::store(BlockId id) { writeSlot(id, mirror_.ptr(id)); }
 
 void FileStorage::sync() {
   int eintr = 0;

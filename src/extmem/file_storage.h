@@ -21,11 +21,11 @@
 //     DeviceCrashed at this boundary, freezing the owning device exactly
 //     like a FaultPolicy crash point.
 //
-// The mirror arena holds one frame per block (chunk-stable, see
-// storage_backend.h): load() preads the file into the block's own frame,
-// so concurrently held spans to different blocks stay valid and the FILE
-// remains the only source of truth — after a power cut, reads report what
-// actually survived, not what the process remembers writing.
+// No block is held in memory between calls: load() preads into the frame
+// the caller supplies and store() pwrites from the caller's words, so
+// resident memory does not follow the id space, and the FILE is the only
+// source of truth — after a power cut, reads report what actually
+// survived, not what the process remembers writing.
 #pragma once
 
 #include <cstdint>
@@ -59,11 +59,8 @@ class FileStorage final : public StorageBackend {
     return words_per_block_;
   }
   void ensureCapacity(BlockId block_count) override;
-  const Word* load(BlockId id) const override;
-  Word* loadMutable(BlockId id) override;
-  Word* frame(BlockId id) override;
-  const Word* peek(BlockId id) const noexcept override;
-  void store(BlockId id) override;
+  Word* load(BlockId id, Word* frame, bool fetch) override;
+  void store(BlockId id, const Word* words) override;
   void sync() override;
   bool persistent() const noexcept override { return true; }
   std::string_view name() const noexcept override {
@@ -80,9 +77,6 @@ class FileStorage final : public StorageBackend {
   }
 
  private:
-  void readSlot(BlockId id, Word* dst) const;
-  void writeSlot(BlockId id, const Word* src);
-
   std::size_t words_per_block_;
   std::string path_;
   FileStorageOptions options_;
@@ -91,7 +85,6 @@ class FileStorage final : public StorageBackend {
   bool direct_active_ = false;
   std::size_t slot_bytes_ = 0;
   std::uint64_t allocated_blocks_ = 0;  // fallocate high-water, in blocks
-  mutable detail::ChunkArena mirror_;
   // O_DIRECT bounce buffer (posix_memalign'd to the transfer alignment);
   // null in buffered mode, where frames transfer directly.
   void* bounce_ = nullptr;

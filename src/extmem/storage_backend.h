@@ -13,17 +13,13 @@
 //                 carries over unchanged.
 //
 // Contract (what BlockDevice relies on):
-//   - load(id) returns a pointer to the block's current contents that
-//     stays valid for that block until its next load/loadMutable/frame —
-//     NEVER invalidated by capacity growth or access to OTHER blocks.
-//     Callers hold spans into several blocks at once (e.g. a bucket page
-//     and its overflow page), so backends keep one stable frame per
-//     block (chunked arena), not a shared bounce buffer.
-//   - loadMutable(id) is load() with write intent: mutate the frame, then
-//     store(id) persists it. frame(id) skips the read (blind overwrite).
-//   - store(id) persists the block's whole frame. Re-issuing it with the
-//     same frame contents is idempotent (a full-block pwrite), which is
-//     what makes the device-level transient retry safe on real files.
+//   - load(id, frame, fetch) returns the block's words: MemStorage's own
+//     slot (`frame` ignored), or else `frame` itself — caller-owned, filled
+//     from the medium when `fetch` is set, untouched otherwise (blind
+//     overwrite). FileStorage keeps no block in memory between calls.
+//   - store(id, words) persists a whole block (a no-op for MemStorage's
+//     own slot). Re-issuing it is idempotent (a full-block pwrite), which
+//     is what makes the device-level transient retry safe on real files.
 //   - sync() is the durability barrier (fdatasync); throwing means dirty
 //     state may be lost and the caller must treat the data as unacked.
 //   - Backends throw TransientIoError / PermanentIoError (errno attached)
@@ -31,6 +27,7 @@
 //     power cut; MemStorage never throws.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -45,39 +42,6 @@ using BlockId = std::uint64_t;
 
 class FileOps;  // syscall virtualization seam, see extmem/file_ops.h
 
-namespace detail {
-
-/// Chunk-stable per-block frame arena shared by both backends: block
-/// frames never move once created, so spans stay valid while the caller
-/// allocates more blocks (the documented BlockDevice guarantee).
-class ChunkArena {
- public:
-  explicit ChunkArena(std::size_t words_per_block)
-      : words_per_block_(words_per_block) {}
-
-  void ensure(BlockId block_count) {
-    const std::size_t chunks_needed =
-        block_count == 0 ? 0 : (block_count - 1) / kBlocksPerChunk + 1;
-    while (chunks_.size() < chunks_needed) {
-      chunks_.push_back(
-          std::make_unique<Word[]>(kBlocksPerChunk * words_per_block_));
-    }
-  }
-
-  Word* ptr(BlockId id) const {
-    return chunks_[id / kBlocksPerChunk].get() +
-           (id % kBlocksPerChunk) * words_per_block_;
-  }
-
- private:
-  static constexpr std::size_t kBlocksPerChunk = 1024;
-
-  std::size_t words_per_block_;
-  std::vector<std::unique_ptr<Word[]>> chunks_;
-};
-
-}  // namespace detail
-
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -87,20 +51,11 @@ class StorageBackend {
   /// Grow the backing store to cover ids [0, block_count).
   virtual void ensureCapacity(BlockId block_count) = 0;
 
-  /// Fetch the block's current contents into its stable frame and return
-  /// it (const: logically a read; file backends fill a mutable mirror).
-  virtual const Word* load(BlockId id) const = 0;
-  /// load() with write intent: mutate the returned frame, then store(id).
-  virtual Word* loadMutable(BlockId id) = 0;
-  /// The block's frame WITHOUT reading the device (blind overwrite path);
-  /// contents are whatever the frame last held. Pair with store(id).
-  virtual Word* frame(BlockId id) = 0;
-  /// Read-only view of the frame, also WITHOUT device I/O: the last-known
-  /// contents (zeros if never loaded). Teardown paths on a frozen device
-  /// use this — it can never throw.
-  virtual const Word* peek(BlockId id) const noexcept = 0;
-  /// Persist the block's whole frame. No-op for memory backends.
-  virtual void store(BlockId id) = 0;
+  /// The block's words: a resident slot, or the caller's `frame` (filled
+  /// from the medium when `fetch` is set). See the contract above.
+  virtual Word* load(BlockId id, Word* frame, bool fetch) = 0;
+  /// Persist `words` as the block's whole contents.
+  virtual void store(BlockId id, const Word* words) = 0;
   /// Durability barrier (fdatasync for files; no-op in memory).
   virtual void sync() = 0;
 
@@ -111,31 +66,41 @@ class StorageBackend {
 };
 
 /// The original in-memory array, now behind the seam. Infallible.
+/// Block slots live in 1024-block chunks that never move once created, so
+/// a returned slot stays valid while the caller allocates more blocks.
 class MemStorage final : public StorageBackend {
  public:
   explicit MemStorage(std::size_t words_per_block)
-      : words_per_block_(words_per_block), arena_(words_per_block) {}
+      : words_per_block_(words_per_block) {}
 
   std::size_t wordsPerBlock() const noexcept override {
     return words_per_block_;
   }
   void ensureCapacity(BlockId block_count) override {
-    arena_.ensure(block_count);
+    while (chunks_.size() * kBlocksPerChunk < block_count) {
+      chunks_.push_back(
+          std::make_unique<Word[]>(kBlocksPerChunk * words_per_block_));
+    }
   }
-  const Word* load(BlockId id) const override { return arena_.ptr(id); }
-  Word* loadMutable(BlockId id) override { return arena_.ptr(id); }
-  Word* frame(BlockId id) override { return arena_.ptr(id); }
-  const Word* peek(BlockId id) const noexcept override {
-    return arena_.ptr(id);
+  Word* load(BlockId id, Word*, bool) override { return slot(id); }
+  void store(BlockId id, const Word* words) override {
+    Word* dst = slot(id);
+    if (words != dst) std::copy(words, words + words_per_block_, dst);
   }
-  void store(BlockId) override {}
   void sync() override {}
   bool persistent() const noexcept override { return false; }
   std::string_view name() const noexcept override { return "mem"; }
 
  private:
+  static constexpr std::size_t kBlocksPerChunk = 1024;
+
+  Word* slot(BlockId id) const {
+    return chunks_[id / kBlocksPerChunk].get() +
+           (id % kBlocksPerChunk) * words_per_block_;
+  }
+
   std::size_t words_per_block_;
-  detail::ChunkArena arena_;
+  std::vector<std::unique_ptr<Word[]>> chunks_;
 };
 
 /// Construction-time selection of where a BlockDevice keeps its blocks.

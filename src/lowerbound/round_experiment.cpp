@@ -68,8 +68,10 @@ RoundExperimentResult runRoundExperiment(
     for (const std::uint64_t key : round_keys) {
       const auto primary = table.primaryBlockOf(key);
       if (!primary.has_value() || !device.isAllocated(*primary)) continue;
-      const extmem::ConstBucketPage page(device.inspect(*primary));
-      if (page.indexOf(key).has_value()) blocks.insert(*primary);
+      device.inspect(*primary, [&](std::span<const extmem::Word> w) {
+        const extmem::ConstBucketPage page(w);
+        if (page.indexOf(key).has_value()) blocks.insert(*primary);
+      });
     }
 
     RoundResult rr;

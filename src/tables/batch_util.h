@@ -76,11 +76,21 @@ inline std::ptrdiff_t applyOpsToRecords(std::vector<Record>& records,
   return delta;
 }
 
+/// Uncounted: the overflow link of chained block `id` (kInvalidBlock at
+/// the chain's end). The teardown walks that free chains use it.
+inline extmem::BlockId inspectNext(const extmem::BlockDevice& device,
+                                   extmem::BlockId id) {
+  return device.inspect(id, [](std::span<const extmem::Word> w) {
+    return extmem::ConstBucketPage(w).next();
+  });
+}
+
 /// Replay >= 2 ops against one chained bucket with a single pass.
 ///
 /// Single-block bucket: one rmw loads, replays, and rewrites the page in
 /// place; growth past one block writes fresh overflow inside the same
-/// guarded scope (block storage is chunk-stable, so the span stays valid).
+/// guarded scope (the nested allocate and write take frames of their own,
+/// so the primary's span stays valid until its callback returns).
 /// Chained bucket: the rmw salvages the primary's records, the rest of the
 /// chain is drained (overflow freed), and the whole chain is rewritten
 /// once. (Opening the primary as an rmw rather than a read costs the same

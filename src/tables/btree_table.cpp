@@ -121,17 +121,20 @@ BTreeTable::BTreeTable(TableContext ctx, BTreeConfig config)
 }
 
 BTreeTable::~BTreeTable() {
-  if (!root_.is_leaf) {
+  // A frozen device's free() is a no-op, and its reads may be dead.
+  if (!root_.is_leaf && !ctx_.device->frozen()) {
     for (const BlockId child : root_.children) freeSubtree(child);
   }
 }
 
 void BTreeTable::freeSubtree(BlockId node) {
-  ConstNodeView v{ctx_.device->inspect(node), internal_cap_};
-  if (v.isInternal()) {
-    const std::size_t n = v.count();
-    for (std::size_t i = 0; i <= n; ++i) freeSubtree(v.child(i));
-  }
+  ctx_.device->inspect(node, [&](std::span<const Word> w) {
+    ConstNodeView v{w, internal_cap_};
+    if (v.isInternal()) {
+      const std::size_t n = v.count();
+      for (std::size_t i = 0; i <= n; ++i) freeSubtree(v.child(i));
+    }
+  });
   ctx_.device->free(node);
 }
 
@@ -602,15 +605,16 @@ void BTreeTable::scanRange(std::uint64_t lo, std::uint64_t hi,
 }
 
 void BTreeTable::visitSubtree(BlockId node, LayoutVisitor& visitor) const {
-  ConstNodeView v{ctx_.device->inspect(node), internal_cap_};
-  if (v.isInternal()) {
+  ctx_.device->inspect(node, [&](std::span<const Word> w) {
+    ConstNodeView v{w, internal_cap_};
     const std::size_t n = v.count();
-    for (std::size_t i = 0; i <= n; ++i) visitSubtree(v.child(i), visitor);
-    return;
-  }
-  const std::size_t n = v.count();
-  for (std::size_t i = 0; i < n; ++i)
-    visitor.diskItem(node, Record{v.leafKey(i), v.leafValue(i)});
+    if (v.isInternal()) {
+      for (std::size_t i = 0; i <= n; ++i) visitSubtree(v.child(i), visitor);
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      visitor.diskItem(node, Record{v.leafKey(i), v.leafValue(i)});
+  });
 }
 
 void BTreeTable::visitLayout(LayoutVisitor& visitor) const {

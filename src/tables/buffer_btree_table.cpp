@@ -144,14 +144,16 @@ BufferBTreeTable::BufferBTreeTable(TableContext ctx, BufferBTreeConfig config)
 }
 
 BufferBTreeTable::~BufferBTreeTable() {
-  if (!root_is_leaf_) {
+  // A frozen device's free() is a no-op, and its reads may be dead.
+  if (!root_is_leaf_ && !ctx_.device->frozen()) {
     for (const BlockId child : root_children_) freeSubtree(child);
   }
 }
 
 void BufferBTreeTable::freeSubtree(BlockId node) {
   const Geometry g{fanout_, buffer_cap_, leaf_cap_};
-  const NodeImage img = readNode(ctx_.device->inspect(node), g);
+  const NodeImage img = ctx_.device->inspect(
+      node, [&](std::span<const Word> w) { return readNode(w, g); });
   if (!img.is_leaf) {
     for (const BlockId child : img.children) freeSubtree(child);
   }
@@ -359,7 +361,8 @@ BufferBTreeTable::SplitResult BufferBTreeTable::applyToLeaf(
     BlockId leaf, const std::vector<Record>& messages) {
   const Geometry g{fanout_, buffer_cap_, leaf_cap_};
   // Messages arrive compacted and key-sorted; merge into the sorted leaf.
-  NodeImage img = readNode(ctx_.device->inspect(leaf), g);
+  NodeImage img = ctx_.device->inspect(
+      leaf, [&](std::span<const Word> w) { return readNode(w, g); });
   // (The inspect above is paired with the counted write below — one rmw.)
   std::vector<Record> merged;
   merged.reserve(img.records.size() + messages.size());
@@ -447,7 +450,8 @@ BufferBTreeTable::SplitResult BufferBTreeTable::deliver(
   // older), compact, partition by pivots, push each group down, then
   // rewrite this node with an empty buffer and any new pivots.
   ++flushes_;
-  NodeImage img = readNode(ctx_.device->inspect(node), g);
+  NodeImage img = ctx_.device->inspect(
+      node, [&](std::span<const Word> w) { return readNode(w, g); });
   std::vector<Record> combined = std::move(img.buffer);
   combined.insert(combined.end(), messages.begin(), messages.end());
   const std::vector<Record> batch = compactMessages(std::move(combined));
@@ -638,7 +642,8 @@ void BufferBTreeTable::flushRootBuffer() {
 void BufferBTreeTable::visitSubtree(BlockId node,
                                     LayoutVisitor& visitor) const {
   const Geometry g{fanout_, buffer_cap_, leaf_cap_};
-  const NodeImage img = readNode(ctx_.device->inspect(node), g);
+  const NodeImage img = ctx_.device->inspect(
+      node, [&](std::span<const Word> w) { return readNode(w, g); });
   for (const Record& msg : img.buffer) {
     if (msg.value != kTombstoneValue) visitor.diskItem(node, msg);
   }
@@ -756,32 +761,36 @@ void BufferBTreeTable::auditSubtree(BlockId node, std::size_t depth,
   // Validate the raw header counts BEFORE readNode materializes the
   // image: a corrupted count must become a finding, not an out-of-range
   // span read.
-  const std::span<const Word> w = ctx_.device->inspect(node);
-  const auto count = static_cast<std::size_t>(w[0] & 0xffffffffULL);
-  const bool is_leaf = (w[0] & kInternalFlag) == 0;
-  if (is_leaf) {
-    EXTHASH_AUDIT_EXPECT(report, kComponent, count <= leaf_cap_,
-                         "leaf " << node << " claims " << count
-                                 << " records, capacity " << leaf_cap_);
-    EXTHASH_AUDIT_EXPECT(report, kComponent, depth + 1 == height_,
-                         "leaf " << node << " at depth " << depth
-                                 << ", tree height is " << height_);
-    if (count > leaf_cap_) return;
-  } else {
-    const auto buffered = static_cast<std::size_t>(w[1]);
-    EXTHASH_AUDIT_EXPECT(report, kComponent, count <= fanout_,
-                         "node " << node << " claims " << count
-                                 << " pivots, fanout " << fanout_);
-    EXTHASH_AUDIT_EXPECT(report, kComponent, buffered <= buffer_cap_,
-                         "node " << node << " buffers " << buffered
-                                 << " messages, capacity " << buffer_cap_);
-    EXTHASH_AUDIT_EXPECT(report, kComponent, count >= 1,
-                         "internal node " << node << " has no pivot");
-    if (count > fanout_ || buffered > buffer_cap_) return;
-  }
-
   const Geometry g{fanout_, buffer_cap_, leaf_cap_};
-  const NodeImage img = readNode(w, g);
+  const std::optional<NodeImage> read = ctx_.device->inspect(
+      node, [&](std::span<const Word> w) -> std::optional<NodeImage> {
+        const auto count = static_cast<std::size_t>(w[0] & 0xffffffffULL);
+        const bool is_leaf = (w[0] & kInternalFlag) == 0;
+        if (is_leaf) {
+          EXTHASH_AUDIT_EXPECT(report, kComponent, count <= leaf_cap_,
+                               "leaf " << node << " claims " << count
+                                       << " records, capacity " << leaf_cap_);
+          EXTHASH_AUDIT_EXPECT(report, kComponent, depth + 1 == height_,
+                               "leaf " << node << " at depth " << depth
+                                       << ", tree height is " << height_);
+          if (count > leaf_cap_) return std::nullopt;
+        } else {
+          const auto buffered = static_cast<std::size_t>(w[1]);
+          EXTHASH_AUDIT_EXPECT(report, kComponent, count <= fanout_,
+                               "node " << node << " claims " << count
+                                       << " pivots, fanout " << fanout_);
+          EXTHASH_AUDIT_EXPECT(report, kComponent, buffered <= buffer_cap_,
+                               "node " << node << " buffers " << buffered
+                                       << " messages, capacity "
+                                       << buffer_cap_);
+          EXTHASH_AUDIT_EXPECT(report, kComponent, count >= 1,
+                               "internal node " << node << " has no pivot");
+          if (count > fanout_ || buffered > buffer_cap_) return std::nullopt;
+        }
+        return readNode(w, g);
+      });
+  if (!read) return;
+  const NodeImage& img = *read;
   const auto in_range = [&](std::uint64_t key) {
     return (!lo || key >= *lo) && (!hi || key < *hi);
   };

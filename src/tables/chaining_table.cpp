@@ -47,37 +47,37 @@ ChainingHashTable::~ChainingHashTable() {
 
 void ChainingHashTable::destroy() {
   if (destroyed_) return;
-  // Runs from the destructor, possibly mid-unwind on a dying device
-  // (frozen devices serve inspect() from the last-known frames; a live
-  // file backend can still fail a real read here). An I/O error only
-  // cuts the chain walk short — freeing is in-process bookkeeping, so
+  // Runs from the destructor, possibly mid-unwind on a dying device. A
+  // frozen device skips the chain walk: its free() is a no-op anyway. On
+  // a live file backend a real read can still fail here; an I/O error
+  // only cuts the walk short — freeing is in-process bookkeeping, so
   // leaking ids on a failing device beats terminating the process.
-  try {
-    // Flush barrier: the inspect() walk below reads the device directly,
-    // and under a write-back cache the dirty frames hold the live chain
-    // pointers — without the flush we would free along stale chains.
-    flushCache();
-    // Uncounted traversal: deallocation is metadata bookkeeping, not data
-    // transfer (the owner of a real disk would drop the whole file). The
-    // walk ends once overflow_blocks_ blocks are freed (the audit holds
-    // that counter to the layout), so a table without overflow — the
-    // common case at load <= 1/2 — tears down without reading a block.
-    std::uint64_t freed = 0;
-    for (std::uint64_t j = 0;
-         j < config_.bucket_count && freed < overflow_blocks_; ++j) {
-      BlockId id = primaryBlock(j);
-      ConstBucketPage page(ctx_.device->inspect(id));
-      BlockId overflow = page.hasNext() ? page.next() : kInvalidBlock;
-      while (overflow != kInvalidBlock) {
-        ConstBucketPage opage(ctx_.device->inspect(overflow));
-        const BlockId next = opage.hasNext() ? opage.next() : kInvalidBlock;
-        io().free(overflow);
-        ++freed;
-        overflow = next;
+  if (!ctx_.device->frozen()) {
+    try {
+      // Flush barrier: the inspect() walk below reads the device directly,
+      // and under a write-back cache the dirty frames hold the live chain
+      // pointers — without the flush we would free along stale chains.
+      flushCache();
+      // Uncounted traversal: deallocation is metadata bookkeeping, not
+      // data transfer (the owner of a real disk would drop the whole
+      // file). The walk ends once overflow_blocks_ blocks are freed (the
+      // audit holds that counter to the layout), so a table without
+      // overflow — the common case at load <= 1/2 — tears down without
+      // reading a block.
+      std::uint64_t freed = 0;
+      for (std::uint64_t j = 0;
+           j < config_.bucket_count && freed < overflow_blocks_; ++j) {
+        BlockId overflow = batch::inspectNext(*ctx_.device, primaryBlock(j));
+        while (overflow != kInvalidBlock) {
+          const BlockId next = batch::inspectNext(*ctx_.device, overflow);
+          io().free(overflow);
+          ++freed;
+          overflow = next;
+        }
       }
+    } catch (const extmem::IoError&) {
+      // Walked as far as the device allowed.
     }
-  } catch (const extmem::IoError&) {
-    // Walked as far as the device allowed.
   }
   io().freeExtent(extent_, config_.bucket_count);
   destroyed_ = true;
@@ -106,7 +106,8 @@ bool ChainingHashTable::insert(std::uint64_t key, std::uint64_t value) {
 
   // Fast path: single-block bucket. One rmw covers update, append, and
   // first-overflow creation (the new block is written inside the same
-  // guarded scope; block storage is chunk-stable, so the span stays valid).
+  // guarded scope; that nested access takes a frame of its own, so the
+  // primary's span stays valid until its callback returns).
   struct FastResult {
     bool handled = false;
     bool inserted_new = false;
@@ -320,12 +321,14 @@ void ChainingHashTable::visitLayout(LayoutVisitor& visitor) const {
   for (std::uint64_t j = 0; j < config_.bucket_count; ++j) {
     BlockId current = primaryBlock(j);
     while (current != kInvalidBlock) {
-      ConstBucketPage page(ctx_.device->inspect(current));
-      const std::size_t n = page.count();
-      for (std::size_t i = 0; i < n; ++i) {
-        visitor.diskItem(current, page.recordAt(i));
-      }
-      current = page.next();
+      ctx_.device->inspect(current, [&](std::span<const Word> w) {
+        ConstBucketPage page(w);
+        const std::size_t n = page.count();
+        for (std::size_t i = 0; i < n; ++i) {
+          visitor.diskItem(current, page.recordAt(i));
+        }
+        current = page.next();
+      });
     }
   }
 }
@@ -365,26 +368,28 @@ void ChainingHashTable::validateLayout(AuditReport& report) const {
                            "bucket " << j << " chain links freed block "
                                      << current);
       if (!ctx_.device->isAllocated(current)) break;
-      ConstBucketPage page(ctx_.device->inspect(current));
-      // Clamp before iterating: a corrupted header must produce a
-      // finding, not out-of-range record reads.
-      EXTHASH_AUDIT_EXPECT(report, kComponent,
-                           page.count() <= page.capacity(),
-                           "block " << current << " claims " << page.count()
-                               << " records, capacity " << page.capacity());
-      const std::size_t n = std::min(page.count(), page.capacity());
-      for (std::size_t i = 0; i < n; ++i) {
-        const Record r = page.recordAt(i);
-        EXTHASH_AUDIT_EXPECT(report, kComponent, bucketOf(r.key) == j,
-                             "key " << r.key << " stored in bucket " << j
-                                    << " but hashes to bucket "
-                                    << bucketOf(r.key));
-        chain_keys.push_back(r.key);
-      }
-      records_seen += n;
-      if (hops > 0) ++overflow_seen;
-      ++hops;
-      current = page.next();
+      ctx_.device->inspect(current, [&](std::span<const Word> w) {
+        ConstBucketPage page(w);
+        // Clamp before iterating: a corrupted header must produce a
+        // finding, not out-of-range record reads.
+        EXTHASH_AUDIT_EXPECT(report, kComponent,
+                             page.count() <= page.capacity(),
+                             "block " << current << " claims " << page.count()
+                                 << " records, capacity " << page.capacity());
+        const std::size_t n = std::min(page.count(), page.capacity());
+        for (std::size_t i = 0; i < n; ++i) {
+          const Record r = page.recordAt(i);
+          EXTHASH_AUDIT_EXPECT(report, kComponent, bucketOf(r.key) == j,
+                               "key " << r.key << " stored in bucket " << j
+                                      << " but hashes to bucket "
+                                      << bucketOf(r.key));
+          chain_keys.push_back(r.key);
+        }
+        records_seen += n;
+        if (hops > 0) ++overflow_seen;
+        ++hops;
+        current = page.next();
+      });
     }
     std::sort(chain_keys.begin(), chain_keys.end());
     EXTHASH_AUDIT_EXPECT(

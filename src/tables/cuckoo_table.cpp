@@ -332,10 +332,12 @@ bool CuckooHashTable::erase(std::uint64_t key) {
 void CuckooHashTable::visitLayout(LayoutVisitor& visitor) const {
   stash_.forEach([&](const Record& r) { visitor.memoryItem(r); });
   for (std::uint64_t j = 0; j < config_.bucket_count; ++j) {
-    ConstBucketPage page(ctx_.device->inspect(extent_ + j));
-    const std::size_t n = page.count();
-    for (std::size_t i = 0; i < n; ++i)
-      visitor.diskItem(extent_ + j, page.recordAt(i));
+    ctx_.device->inspect(extent_ + j, [&](std::span<const Word> w) {
+      ConstBucketPage page(w);
+      const std::size_t n = page.count();
+      for (std::size_t i = 0; i < n; ++i)
+        visitor.diskItem(extent_ + j, page.recordAt(i));
+    });
   }
 }
 

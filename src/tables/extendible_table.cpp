@@ -267,9 +267,13 @@ void ExtendibleHashTable::visitLayout(LayoutVisitor& visitor) const {
     const BlockId id = directory_[i];
     if (id == last_seen) continue;  // depth-< g buckets alias entries
     last_seen = id;
-    ConstBucketPage page(ctx_.device->inspect(id));
-    const std::size_t n = page.count();
-    for (std::size_t r = 0; r < n; ++r) visitor.diskItem(id, page.recordAt(r));
+    ctx_.device->inspect(id, [&](std::span<const Word> w) {
+      ConstBucketPage page(w);
+      const std::size_t n = page.count();
+      for (std::size_t r = 0; r < n; ++r) {
+        visitor.diskItem(id, page.recordAt(r));
+      }
+    });
   }
 }
 
@@ -313,40 +317,42 @@ void ExtendibleHashTable::validateLayout(AuditReport& report) const {
                          "directory entries [" << i << ", " << i + run
                              << ") point at freed block " << id);
     if (ctx_.device->isAllocated(id)) {
-      ConstBucketPage page(ctx_.device->inspect(id));
-      const std::uint32_t local_depth = page.flags();
-      EXTHASH_AUDIT_EXPECT(report, kComponent, local_depth <= global_depth_,
-                           "bucket " << id << " local depth " << local_depth
-                               << " exceeds global depth " << global_depth_);
-      if (local_depth <= global_depth_) {
-        const std::size_t expected_run =
-            std::size_t{1} << (global_depth_ - local_depth);
+      ctx_.device->inspect(id, [&](std::span<const Word> w) {
+        ConstBucketPage page(w);
+        const std::uint32_t local_depth = page.flags();
+        EXTHASH_AUDIT_EXPECT(report, kComponent, local_depth <= global_depth_,
+                             "bucket " << id << " local depth " << local_depth
+                                 << " exceeds global depth " << global_depth_);
+        if (local_depth <= global_depth_) {
+          const std::size_t expected_run =
+              std::size_t{1} << (global_depth_ - local_depth);
+          EXTHASH_AUDIT_EXPECT(report, kComponent,
+                               run == expected_run && i % expected_run == 0,
+                               "bucket " << id << " at depth " << local_depth
+                                   << " serves entries [" << i << ", "
+                                   << i + run << "), expected an aligned run"
+                                   << " of " << expected_run);
+        }
+        EXTHASH_AUDIT_EXPECT(report, kComponent, !page.hasNext(),
+                             "bucket " << id
+                                 << " carries an overflow link; extendible"
+                                 << " buckets never chain");
         EXTHASH_AUDIT_EXPECT(report, kComponent,
-                             run == expected_run && i % expected_run == 0,
-                             "bucket " << id << " at depth " << local_depth
-                                 << " serves entries [" << i << ", "
-                                 << i + run << "), expected an aligned run"
-                                 << " of " << expected_run);
-      }
-      EXTHASH_AUDIT_EXPECT(report, kComponent, !page.hasNext(),
-                           "bucket " << id
-                               << " carries an overflow link; extendible"
-                               << " buckets never chain");
-      EXTHASH_AUDIT_EXPECT(report, kComponent,
-                           page.count() <= page.capacity(),
-                           "bucket " << id << " claims " << page.count()
-                               << " records, capacity " << page.capacity());
-      const std::size_t n = std::min(page.count(), page.capacity());
-      for (std::size_t r = 0; r < n; ++r) {
-        const std::uint64_t key = page.recordAt(r).key;
-        const std::size_t idx = dirIndex(key);
-        EXTHASH_AUDIT_EXPECT(report, kComponent, idx >= i && idx < i + run,
-                             "key " << key << " stored in bucket " << id
-                                 << " but addresses directory entry " << idx
-                                 << " outside [" << i << ", " << i + run
-                                 << ")");
-      }
-      records_seen += n;
+                             page.count() <= page.capacity(),
+                             "bucket " << id << " claims " << page.count()
+                                 << " records, capacity " << page.capacity());
+        const std::size_t n = std::min(page.count(), page.capacity());
+        for (std::size_t r = 0; r < n; ++r) {
+          const std::uint64_t key = page.recordAt(r).key;
+          const std::size_t idx = dirIndex(key);
+          EXTHASH_AUDIT_EXPECT(report, kComponent, idx >= i && idx < i + run,
+                               "key " << key << " stored in bucket " << id
+                                   << " but addresses directory entry " << idx
+                                   << " outside [" << i << ", " << i + run
+                                   << ")");
+        }
+        records_seen += n;
+      });
     }
     i += run;
   }

@@ -371,10 +371,12 @@ void JensenPaghTable::rebuild(std::size_t new_capacity) {
 
 void JensenPaghTable::visitLayout(LayoutVisitor& visitor) const {
   for (std::uint64_t j = 0; j < bucket_count_; ++j) {
-    ConstBucketPage page(ctx_.device->inspect(extent_ + j));
-    const std::size_t n = page.count();
-    for (std::size_t i = 0; i < n; ++i)
-      visitor.diskItem(extent_ + j, page.recordAt(i));
+    ctx_.device->inspect(extent_ + j, [&](std::span<const Word> w) {
+      ConstBucketPage page(w);
+      const std::size_t n = page.count();
+      for (std::size_t i = 0; i < n; ++i)
+        visitor.diskItem(extent_ + j, page.recordAt(i));
+    });
   }
   overflow_->visitLayout(visitor);
 }

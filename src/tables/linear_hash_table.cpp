@@ -28,19 +28,25 @@ LinearHashTable::LinearHashTable(TableContext ctx, LinearHashConfig config)
 }
 
 LinearHashTable::~LinearHashTable() {
-  // Flush barrier: the inspect() walk below reads the device directly;
-  // under a write-back cache the dirty frames hold the live chain links.
-  flushCache();
-  // Free overflow chains, then the segment extents.
-  const std::uint64_t live = bucketCountLive();
-  for (std::uint64_t j = 0; j < live; ++j) {
-    ConstBucketPage page(ctx_.device->inspect(blockOfBucket(j)));
-    BlockId overflow = page.next();
-    while (overflow != kInvalidBlock) {
-      ConstBucketPage opage(ctx_.device->inspect(overflow));
-      const BlockId next = opage.next();
-      io().free(overflow);
-      overflow = next;
+  // Same shape as ChainingHashTable::destroy: a frozen device skips the
+  // chain walk (its free() is a no-op), an I/O error cuts it short — a
+  // destructor must not throw — and the segment extents are freed anyway.
+  if (!ctx_.device->frozen()) {
+    try {
+      // Flush barrier: the inspect() walk below reads the device directly;
+      // under a write-back cache the dirty frames hold the live chain links.
+      flushCache();
+      const std::uint64_t live = bucketCountLive();
+      for (std::uint64_t j = 0; j < live; ++j) {
+        BlockId overflow = batch::inspectNext(*ctx_.device, blockOfBucket(j));
+        while (overflow != kInvalidBlock) {
+          const BlockId next = batch::inspectNext(*ctx_.device, overflow);
+          io().free(overflow);
+          overflow = next;
+        }
+      }
+    } catch (const extmem::IoError&) {
+      // Walked as far as the device allowed.
     }
   }
   const std::uint64_t n0 = config_.initial_buckets;
@@ -382,11 +388,13 @@ void LinearHashTable::visitLayout(LayoutVisitor& visitor) const {
   for (std::uint64_t j = 0; j < live; ++j) {
     BlockId current = blockOfBucket(j);
     while (current != kInvalidBlock) {
-      ConstBucketPage page(ctx_.device->inspect(current));
-      const std::size_t n = page.count();
-      for (std::size_t i = 0; i < n; ++i)
-        visitor.diskItem(current, page.recordAt(i));
-      current = page.next();
+      ctx_.device->inspect(current, [&](std::span<const Word> w) {
+        ConstBucketPage page(w);
+        const std::size_t n = page.count();
+        for (std::size_t i = 0; i < n; ++i)
+          visitor.diskItem(current, page.recordAt(i));
+        current = page.next();
+      });
     }
   }
 }
@@ -450,24 +458,26 @@ void LinearHashTable::validateLayout(AuditReport& report) const {
                            "bucket " << j << " chain links freed block "
                                      << current);
       if (!ctx_.device->isAllocated(current)) break;
-      ConstBucketPage page(ctx_.device->inspect(current));
-      EXTHASH_AUDIT_EXPECT(report, kComponent,
-                           page.count() <= page.capacity(),
-                           "block " << current << " claims " << page.count()
-                               << " records, capacity " << page.capacity());
-      const std::size_t n = std::min(page.count(), page.capacity());
-      for (std::size_t i = 0; i < n; ++i) {
-        const Record r = page.recordAt(i);
-        EXTHASH_AUDIT_EXPECT(report, kComponent, bucketOf(r.key) == j,
-                             "key " << r.key << " stored in bucket " << j
-                                    << " but addresses to bucket "
-                                    << bucketOf(r.key));
-        chain_keys.push_back(r.key);
-      }
-      records_seen += n;
-      if (hops > 0) ++overflow_seen;
-      ++hops;
-      current = page.next();
+      ctx_.device->inspect(current, [&](std::span<const Word> w) {
+        ConstBucketPage page(w);
+        EXTHASH_AUDIT_EXPECT(report, kComponent,
+                             page.count() <= page.capacity(),
+                             "block " << current << " claims " << page.count()
+                                 << " records, capacity " << page.capacity());
+        const std::size_t n = std::min(page.count(), page.capacity());
+        for (std::size_t i = 0; i < n; ++i) {
+          const Record r = page.recordAt(i);
+          EXTHASH_AUDIT_EXPECT(report, kComponent, bucketOf(r.key) == j,
+                               "key " << r.key << " stored in bucket " << j
+                                      << " but addresses to bucket "
+                                      << bucketOf(r.key));
+          chain_keys.push_back(r.key);
+        }
+        records_seen += n;
+        if (hops > 0) ++overflow_seen;
+        ++hops;
+        current = page.next();
+      });
     }
     std::sort(chain_keys.begin(), chain_keys.end());
     EXTHASH_AUDIT_EXPECT(

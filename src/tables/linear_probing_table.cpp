@@ -305,11 +305,13 @@ bool LinearProbingHashTable::erase(std::uint64_t key) {
 
 void LinearProbingHashTable::visitLayout(LayoutVisitor& visitor) const {
   for (std::uint64_t j = 0; j < config_.bucket_count; ++j) {
-    ConstBucketPage page(ctx_.device->inspect(blockOf(j)));
-    const std::size_t n = page.count();
-    for (std::size_t i = 0; i < n; ++i) {
-      visitor.diskItem(blockOf(j), page.recordAt(i));
-    }
+    ctx_.device->inspect(blockOf(j), [&](std::span<const Word> w) {
+      ConstBucketPage page(w);
+      const std::size_t n = page.count();
+      for (std::size_t i = 0; i < n; ++i) {
+        visitor.diskItem(blockOf(j), page.recordAt(i));
+      }
+    });
   }
 }
 

@@ -534,10 +534,12 @@ void LsmTable::visitLayout(LayoutVisitor& visitor) const {
   for (const auto& level : levels_) {
     for (const auto& run : level) {
       for (std::size_t blk = 0; blk < run.blocks; ++blk) {
-        ConstSortedRunPage page(ctx_.device->inspect(run.extent + blk));
-        const std::size_t n = page.count();
-        for (std::size_t i = 0; i < n; ++i)
-          visitor.diskItem(run.extent + blk, page.recordAt(i));
+        ctx_.device->inspect(run.extent + blk, [&](std::span<const Word> w) {
+          ConstSortedRunPage page(w);
+          const std::size_t n = page.count();
+          for (std::size_t i = 0; i < n; ++i)
+            visitor.diskItem(run.extent + blk, page.recordAt(i));
+        });
       }
     }
   }
@@ -691,34 +693,36 @@ void LsmTable::validateLayout(AuditReport& report) const {
                              ctx_.device->isAllocated(id),
                              where << " block " << id << " is freed");
         if (!ctx_.device->isAllocated(id)) break;
-        ConstSortedRunPage page(ctx_.device->inspect(id));
-        const std::size_t capacity = extmem::recordCapacityForWords(
-            ctx_.device->wordsPerBlock());
-        EXTHASH_AUDIT_EXPECT(report, kComponent, page.count() <= capacity,
-                             where << " block " << id << " claims "
-                                   << page.count()
-                                   << " records, capacity " << capacity);
-        const std::size_t n = std::min(page.count(), capacity);
-        if (n > 0 && blk % config_.fence_stride == 0) {
-          const std::size_t group = blk / config_.fence_stride;
-          EXTHASH_AUDIT_EXPECT(
-              report, kComponent,
-              group < run.fences.size() &&
-                  run.fences[group] == page.recordAt(0).key,
-              where << " fence " << group << " disagrees with block "
-                    << id << " first key " << page.recordAt(0).key);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::uint64_t key = page.recordAt(i).key;
-          EXTHASH_AUDIT_EXPECT(report, kComponent,
-                               !have_prev || prev_key < key,
-                               where << " key order broken at block " << id
-                                     << " slot " << i << ": " << prev_key
-                                     << " !< " << key);
-          prev_key = key;
-          have_prev = true;
-        }
-        records_seen += n;
+        ctx_.device->inspect(id, [&](std::span<const Word> w) {
+          ConstSortedRunPage page(w);
+          const std::size_t capacity = extmem::recordCapacityForWords(
+              ctx_.device->wordsPerBlock());
+          EXTHASH_AUDIT_EXPECT(report, kComponent, page.count() <= capacity,
+                               where << " block " << id << " claims "
+                                     << page.count()
+                                     << " records, capacity " << capacity);
+          const std::size_t n = std::min(page.count(), capacity);
+          if (n > 0 && blk % config_.fence_stride == 0) {
+            const std::size_t group = blk / config_.fence_stride;
+            EXTHASH_AUDIT_EXPECT(
+                report, kComponent,
+                group < run.fences.size() &&
+                    run.fences[group] == page.recordAt(0).key,
+                where << " fence " << group << " disagrees with block "
+                      << id << " first key " << page.recordAt(0).key);
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t key = page.recordAt(i).key;
+            EXTHASH_AUDIT_EXPECT(report, kComponent,
+                                 !have_prev || prev_key < key,
+                                 where << " key order broken at block " << id
+                                       << " slot " << i << ": " << prev_key
+                                       << " !< " << key);
+            prev_key = key;
+            have_prev = true;
+          }
+          records_seen += n;
+        });
       }
       EXTHASH_AUDIT_EXPECT(report, kComponent,
                            records_seen == run.records,
@@ -726,12 +730,14 @@ void LsmTable::validateLayout(AuditReport& report) const {
                                  << " records, run header says "
                                  << run.records);
       if (records_seen > 0 && have_prev) {
-        ConstSortedRunPage first(ctx_.device->inspect(run.extent));
-        EXTHASH_AUDIT_EXPECT(report, kComponent,
-                             first.count() > 0 &&
-                                 run.min_key == first.recordAt(0).key,
-                             where << " min_key " << run.min_key
-                                   << " disagrees with first record");
+        ctx_.device->inspect(run.extent, [&](std::span<const Word> w) {
+          ConstSortedRunPage first(w);
+          EXTHASH_AUDIT_EXPECT(report, kComponent,
+                               first.count() > 0 &&
+                                   run.min_key == first.recordAt(0).key,
+                               where << " min_key " << run.min_key
+                                     << " disagrees with first record");
+        });
         EXTHASH_AUDIT_EXPECT(report, kComponent, run.max_key == prev_key,
                              where << " max_key " << run.max_key
                                    << " disagrees with last record "

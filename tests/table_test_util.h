@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "extmem/block_device.h"
@@ -44,6 +45,13 @@ inline std::unique_ptr<extmem::BlockDevice> makeTestDevice(
     std::size_t words_per_block) {
   return std::make_unique<extmem::BlockDevice>(words_per_block,
                                                testStorageOptions());
+}
+
+/// Word `i` of block `id`, read without counting an I/O.
+inline extmem::Word inspectWord(const extmem::BlockDevice& device,
+                                extmem::BlockId id, std::size_t i = 0) {
+  return device.inspect(
+      id, [i](std::span<const extmem::Word> words) { return words[i]; });
 }
 
 struct TestRig {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "table_test_util.h"
+
 namespace exthash::extmem {
 namespace {
 
@@ -57,12 +59,11 @@ TEST(BlockCache, WriteBackDefersUntilFlush) {
   BlockCache cache(dev, budget, 2, BlockCache::WritePolicy::kWriteBack);
   const BlockId id = dev.allocate();
   cache.withWrite(id, [](std::span<Word> d) { d[0] = 7; });
-  dev.inspect(id);  // device still zero
-  EXPECT_EQ(dev.inspect(id)[0], 0u);
+  EXPECT_EQ(testing::inspectWord(dev, id), 0u);  // device still zero
   const auto writes_before = dev.stats().writes;
   cache.flush();
   EXPECT_EQ(dev.stats().writes, writes_before + 1);
-  EXPECT_EQ(dev.inspect(id)[0], 7u);
+  EXPECT_EQ(testing::inspectWord(dev, id), 7u);
 }
 
 TEST(BlockCache, WriteBackFlushesOnEviction) {
@@ -73,7 +74,7 @@ TEST(BlockCache, WriteBackFlushesOnEviction) {
   const BlockId b = dev.allocate();
   cache.withWrite(a, [](std::span<Word> d) { d[0] = 1; });
   cache.withRead(b, [](std::span<const Word>) {});  // evicts dirty a
-  EXPECT_EQ(dev.inspect(a)[0], 1u);
+  EXPECT_EQ(testing::inspectWord(dev, a), 1u);
 }
 
 TEST(BlockCache, ChargesMemoryBudget) {
@@ -96,7 +97,8 @@ TEST(BlockCache, InvalidateDropsFrame) {
   cache.invalidate(id);
   EXPECT_EQ(cache.residentBlocks(), 0u);
   cache.flush();
-  EXPECT_EQ(dev.inspect(id)[0], 0u);  // dropped write never landed
+  // The dropped write never landed.
+  EXPECT_EQ(testing::inspectWord(dev, id), 0u);
 }
 
 }  // namespace

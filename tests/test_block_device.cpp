@@ -3,13 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <vector>
 
+#include "extmem/faulty_file_ops.h"
 #include "table_test_util.h"
 #include "util/assert.h"
+#include "util/audit.h"
 
 namespace exthash::extmem {
 namespace {
+
+StorageOptions onFiles() {
+  StorageOptions storage = testing::testStorageOptions();
+  storage.backend = StorageOptions::Backend::kFile;
+  return storage;
+}
 
 TEST(BlockDevice, AllocateReadWriteRoundTrip) {
   BlockDevice dev(16);
@@ -99,9 +108,9 @@ TEST(BlockDevice, AccessAfterFreeIsAnError) {
 }
 
 TEST(BlockDevice, SpansStayValidAcrossAllocation) {
-  // The chunk-stable storage contract: a span obtained inside a guarded
-  // access must survive allocations made inside the callback (tables link
-  // overflow blocks this way).
+  // The span contract: a span obtained inside a guarded access must
+  // survive allocations made inside the callback (tables link overflow
+  // blocks this way).
   BlockDevice dev(8);
   const BlockId id = dev.allocate();
   dev.withWrite(id, [&](std::span<Word> data) {
@@ -120,8 +129,78 @@ TEST(BlockDevice, InspectDoesNotCount) {
   BlockDevice dev(8);
   const BlockId id = dev.allocate();
   const auto before = dev.stats().cost();
-  (void)dev.inspect(id);
+  dev.inspect(id, [](std::span<const Word>) {});
   EXPECT_EQ(dev.stats().cost(), before);
+}
+
+// Accesses nest: every level sees its own block while the levels inside
+// it read, allocate and overwrite others, and the outer write lands. On
+// files under EXTHASH_AUDIT=1, a span kept past its callback reads the
+// released-frame poison instead of whichever block the frame serves next.
+void checkNestedAccesses(const StorageOptions& storage) {
+  BlockDevice dev(8, storage);
+  const BlockId a = dev.allocate();
+  const BlockId b = dev.allocate();
+  const BlockId c = dev.allocate();
+  dev.writeCopy(b, std::vector<Word>(8, 2));
+  dev.writeCopy(c, std::vector<Word>(8, 3));
+  BlockId fresh = kInvalidBlock;
+  dev.withWrite(a, [&](std::span<Word> wa) {
+    wa[0] = 1;
+    dev.withRead(b, [&](std::span<const Word> wb) {
+      dev.withRead(c, [&](std::span<const Word> wc) {
+        fresh = dev.allocate();
+        dev.withOverwrite(fresh, [](std::span<Word> wf) { wf[0] = 4; });
+        EXPECT_EQ(wc[0], 3u);
+      });
+      EXPECT_EQ(wb[0], 2u);
+    });
+    EXPECT_EQ(wa[0], 1u);
+    wa[7] = 5;
+  });
+  const std::vector<Word> outer = dev.readCopy(a);
+  EXPECT_EQ(outer[0], 1u);
+  EXPECT_EQ(outer[7], 5u);
+  EXPECT_EQ(dev.readCopy(b), std::vector<Word>(8, 2));
+  EXPECT_EQ(dev.readCopy(fresh)[0], 4u);
+
+  std::span<const Word> kept;
+  dev.withRead(b, [&](std::span<const Word> words) { kept = words; });
+  if (dev.storagePersistent() && audit::enabled()) {
+    for (const Word w : kept) EXPECT_EQ(w, BlockDevice::kReleasedFrameWord);
+  }
+}
+
+TEST(BlockDevice, NestedAccessesSeeTheirOwnBlocksInMemory) {
+  checkNestedAccesses(StorageOptions{});
+}
+
+TEST(BlockDevice, NestedAccessesSeeTheirOwnBlocksOnFiles) {
+  checkNestedAccesses(onFiles());
+}
+
+// A failed fallocate must leave the allocation state exactly as it was:
+// the watermark does not move, an image still captures, and the next
+// allocation after the fault clears starts where the failed one would.
+TEST(BlockDevice, FailedAllocationLeavesTheIdSpaceUnchanged) {
+  FaultyFileOps shim(/*seed=*/5);
+  StorageOptions storage = onFiles();
+  storage.file_ops = &shim;
+  BlockDevice dev(8, storage);
+  dev.allocate();  // the first fallocate reserves the first 1024 slots
+  const std::size_t id_space = dev.idSpaceSize();
+
+  shim.failNth(FileSyscall::kFallocate, 2, ENOSPC);
+  EXPECT_THROW(dev.allocateExtent(2000), PermanentIoError);
+  EXPECT_EQ(dev.idSpaceSize(), id_space);
+  EXPECT_EQ(dev.blocksInUse(), 1u);
+  const BlockDevice::Image image = dev.captureImage();
+  EXPECT_EQ(image.next_id, id_space);
+  EXPECT_EQ(image.words.size(), dev.wordsPerBlock());
+
+  shim.clear();
+  EXPECT_EQ(dev.allocateExtent(2000), id_space);
+  EXPECT_EQ(dev.idSpaceSize(), id_space + 2000);
 }
 
 TEST(BlockDevice, RejectsTinyBlocks) {
@@ -193,9 +272,7 @@ TEST(BlockDeviceImage, LiveOnlyRoundTripInMemory) {
 }
 
 TEST(BlockDeviceImage, LiveOnlyRoundTripOnFiles) {
-  StorageOptions storage = testing::testStorageOptions();
-  storage.backend = StorageOptions::Backend::kFile;
-  checkLiveOnlyImageRoundTrip(storage);
+  checkLiveOnlyImageRoundTrip(onFiles());
 }
 
 // A fresh id above the restored watermark must read back as zeros, even
@@ -223,9 +300,7 @@ TEST(BlockDeviceImage, FreshIdAboveRestoredWatermarkReadsZeroInMemory) {
 }
 
 TEST(BlockDeviceImage, FreshIdAboveRestoredWatermarkReadsZeroOnFiles) {
-  StorageOptions storage = testing::testStorageOptions();
-  storage.backend = StorageOptions::Backend::kFile;
-  checkFreshIdAboveRestoredWatermarkReadsZero(storage);
+  checkFreshIdAboveRestoredWatermarkReadsZero(onFiles());
 }
 
 TEST(IoProbe, MeasuresDeltas) {

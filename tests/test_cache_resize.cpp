@@ -97,12 +97,12 @@ TEST(CacheResize, ShrinkBelowPinnedAndDirtyCount) {
   });
   EXPECT_EQ(cache.writebacks(), 3u);
   for (std::size_t i = 1; i < ids.size(); ++i) {
-    EXPECT_EQ(rig.device->inspect(ids[i])[0], 7 + i);
+    EXPECT_EQ(testing::inspectWord(*rig.device, ids[i]), 7 + i);
   }
   // The surviving frame still buffers the newest write until a flush.
   EXPECT_EQ(cache.dirtyBlocks(), 1u);
   cache.flush();
-  EXPECT_EQ(rig.device->inspect(ids[0])[0], 77u);
+  EXPECT_EQ(testing::inspectWord(*rig.device, ids[0]), 77u);
 }
 
 TEST(CacheResize, ShrinkToZeroWithGhostChargesOutstanding) {
@@ -179,7 +179,8 @@ TEST_P(CacheResizeOscillation, GrowShrinkOscillationStaysCoherent) {
   }
   cache.flush();
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(rig.device->inspect(ids[i])[0], i + 100 * version);
+    EXPECT_EQ(testing::inspectWord(*rig.device, ids[i]),
+              i + 100 * version);
   }
 }
 

@@ -118,9 +118,10 @@ TEST(Chaining, PrimaryBlockMatchesLayout) {
   for (const auto k : keys) {
     const auto primary = table.primaryBlockOf(k);
     ASSERT_TRUE(primary.has_value());
-    const extmem::ConstBucketPage page(rig.device->inspect(*primary));
-    // At load << 1, the item should be in its primary block.
-    EXPECT_TRUE(page.indexOf(k).has_value());
+    rig.device->inspect(*primary, [&](std::span<const extmem::Word> w) {
+      // At load << 1, the item should be in its primary block.
+      EXPECT_TRUE(extmem::ConstBucketPage(w).indexOf(k).has_value());
+    });
   }
 }
 

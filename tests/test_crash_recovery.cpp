@@ -536,6 +536,29 @@ TEST(CrashRecoveryFileBacked, SyscallPowerCutAgainstAckLedgerOracle) {
   }
 }
 
+// A frozen stack must unwind even when the machine is still dead: the
+// device holds no copy of its blocks, so every read would fail, and the
+// teardown walks skip a frozen device (whose frees are no-ops) instead.
+TEST(CrashRecoveryFileBacked, FrozenTablesTearDownWithThePowerStillOff) {
+  for (const TableKind kind : tables::kAllTableKinds) {
+    SCOPED_TRACE(tableKindName(kind));
+    FaultyFileOps shim(/*seed=*/3);
+    StorageOptions storage = fileStorage();
+    storage.file_ops = &shim;
+    testing::TestRig rig(8);
+    rig.device = std::make_unique<BlockDevice>(rig.device->wordsPerBlock(),
+                                               storage);
+    auto table = makeTable(kind, rig.context(), sweepConfig(storage));
+    for (const std::uint64_t key : testing::distinctKeys(600)) {
+      table->insert(key, key);
+    }
+    shim.powerCutAfter(shim.syscalls() + 1);
+    rig.device->freeze();
+    table.reset();
+    EXPECT_FALSE(shim.powerCutFired());  // teardown issued no syscall
+  }
+}
+
 // Checkpoint images hold only allocated blocks, so after recover() every
 // freed id keeps whatever bytes the crashed run left there. Keep serving
 // the recovered table through the rest of the universe — merges must take

@@ -124,8 +124,10 @@ TEST(Extendible, PrimaryBlockIsTheOnlyBlock) {
   for (const auto k : keys) {
     const auto primary = table.primaryBlockOf(k);
     ASSERT_TRUE(primary.has_value());
-    const extmem::ConstBucketPage page(rig.device->inspect(*primary));
-    EXPECT_TRUE(page.indexOf(k).has_value());  // always fast zone
+    rig.device->inspect(*primary, [&](std::span<const extmem::Word> w) {
+      // always fast zone
+      EXPECT_TRUE(extmem::ConstBucketPage(w).indexOf(k).has_value());
+    });
   }
 }
 

@@ -7,11 +7,13 @@
 // randomized partial-tail truncation (mid-word and mid-block cuts) on a
 // file-backed WAL device, with the acked prefix never lost.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <random>
 #include <span>
@@ -160,6 +162,42 @@ TEST(FileStorage, FreshAndReusedBlocksReadZero) {
   EXPECT_EQ(device.readCopy(b), std::vector<Word>(kWords, 0));
 }
 
+std::size_t residentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// The device lends a file-backed block a frame only while a callback runs,
+// so writing and reading back 64 MiB leaves resident memory where it was:
+// a few frames and the allocation map, not one copy per block.
+TEST(FileStorage, ResidentMemoryStaysFlatAsBlocksAreWritten) {
+  constexpr std::size_t kBlockWords = 512;  // 4 KiB blocks
+  constexpr std::size_t kBlocks = 16384;
+  BlockDevice device(kBlockWords, fileOptions());
+  const std::size_t before = residentBytes();
+  const BlockId first = device.allocateExtent(kBlocks);
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    device.withOverwrite(first + i, [&](std::span<Word> block) {
+      block.front() = i;
+      block.back() = ~i;
+    });
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    device.withRead(first + i, [&](std::span<const Word> block) {
+      if (block.front() != i || block.back() != ~i) ++mismatches;
+    });
+  }
+  EXPECT_EQ(mismatches, 0u);
+  const std::size_t after = residentBytes();
+  const std::size_t growth = after > before ? after - before : 0;
+  EXPECT_LT(growth, std::size_t{8} << 20)
+      << "resident memory grew by " << growth << " bytes";
+}
+
 // ---------------------------------------------------------------------------
 // errno → IoError mapping and the retry ladder.
 // ---------------------------------------------------------------------------
@@ -293,6 +331,36 @@ TEST(FileStorage, FailedSyncIsNeverTransient) {
   EXPECT_FALSE(device.frozen());
   device.sync();  // next barrier is allowed to try again
   EXPECT_EQ(device.stats().fsyncs, 1u);  // the failed one never counted
+}
+
+std::size_t openFdCount() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// A constructor that fails its parent-directory fsync gives back all it
+// took: the fd is closed and the file it created is gone.
+TEST(FileStorage, FailedDirectorySyncReleasesTheNewFile) {
+  FaultyFileOps shim(/*seed=*/9);
+  const std::string dir = fileOptions().directory;
+  const std::filesystem::path base =
+      dir.empty() ? std::filesystem::temp_directory_path()
+                  : std::filesystem::path(dir);
+  std::filesystem::create_directories(base);
+  const std::filesystem::path path =
+      base / ("dir-sync-" + std::to_string(::getpid()) + ".blocks");
+  std::filesystem::remove(path);
+  extmem::FileStorageOptions options;
+  options.ops = &shim;
+  shim.failNth(FileSyscall::kFsync, 1, EIO);
+  const std::size_t fds = openFdCount();
+  EXPECT_THROW(FileStorage(kWords, path.string(), options), PermanentIoError);
+  EXPECT_EQ(openFdCount(), fds);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+
+#include "extmem/faulty_file_ops.h"
 #include "table_test_util.h"
 
 namespace exthash::tables {
@@ -122,6 +125,30 @@ TEST(LinearHashing, MemoryFootprintIsLogarithmic) {
   const auto keys = distinctKeys(3000);
   for (const auto k : keys) table.insert(k, 1);  // must not exceed budget
   EXPECT_LE(rig.memory->used(), 128u);
+}
+
+// A file-backed table whose every read fails must still be destroyable:
+// the teardown walk stops at the first IoError instead of throwing out of
+// the destructor, and the segment extents are freed anyway.
+TEST(LinearHashing, DestructionCompletesWhenReadsFail) {
+  extmem::FaultyFileOps shim(/*seed=*/11);
+  extmem::StorageOptions storage = testing::testStorageOptions();
+  storage.backend = extmem::StorageOptions::Backend::kFile;
+  storage.file_ops = &shim;
+  TestRig rig(4);
+  rig.device = std::make_unique<extmem::BlockDevice>(
+      extmem::wordsForRecordCapacity(4), storage);
+  std::size_t in_use = 0;
+  {
+    LinearHashTable table(rig.context(), {4, 0.8});
+    for (const auto k : distinctKeys(300)) table.insert(k, 1);
+    in_use = rig.device->blocksInUse();
+    shim.failNth(extmem::FileSyscall::kPread,
+                 shim.count(extmem::FileSyscall::kPread) + 1, EIO,
+                 /*sticky=*/true);
+  }
+  EXPECT_LT(rig.device->blocksInUse(), in_use);
+  EXPECT_FALSE(rig.device->frozen());
 }
 
 }  // namespace

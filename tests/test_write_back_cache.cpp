@@ -49,15 +49,15 @@ TEST(WriteBackCache, WritesDirtyFramesNotDevice) {
   EXPECT_EQ(mid.rmws, 0u);
   EXPECT_EQ(cache.dirtyBlocks(), 1u);
   // The device copy is stale until the flush barrier.
-  EXPECT_EQ(rig.device->inspect(id)[0], 0u);
+  EXPECT_EQ(testing::inspectWord(*rig.device, id), 0u);
 
   io.flush();
   const auto after = rig.device->stats() - before;
   EXPECT_EQ(after.writes, 1u);  // one write per dirty frame, however many mutations
   EXPECT_EQ(cache.dirtyBlocks(), 0u);
   EXPECT_EQ(cache.writebacks(), 1u);
-  EXPECT_EQ(rig.device->inspect(id)[0], 17u);
-  EXPECT_EQ(rig.device->inspect(id)[1], 23u);
+  EXPECT_EQ(testing::inspectWord(*rig.device, id), 17u);
+  EXPECT_EQ(testing::inspectWord(*rig.device, id, 1), 23u);
 }
 
 TEST(WriteBackCache, OverwriteInstallsFrameWithZeroDeviceIo) {
@@ -74,7 +74,7 @@ TEST(WriteBackCache, OverwriteInstallsFrameWithZeroDeviceIo) {
   io.withRead(id, [](std::span<const Word> data) { EXPECT_EQ(data[0], 99u); });
   io.flush();
   EXPECT_EQ((rig.device->stats() - before).writes, 1u);
-  EXPECT_EQ(rig.device->inspect(id)[0], 99u);
+  EXPECT_EQ(testing::inspectWord(*rig.device, id), 99u);
 }
 
 TEST(WriteBackCache, EvictionWritesBackLruVictim) {
@@ -91,8 +91,9 @@ TEST(WriteBackCache, EvictionWritesBackLruVictim) {
   io.withWrite(ids[2], [](std::span<Word> d) { d[0] = 3; });  // evicts ids[0]
   const auto delta = rig.device->stats() - before;
   EXPECT_EQ(delta.writes, 1u);
-  EXPECT_EQ(rig.device->inspect(ids[0])[0], 1u);  // victim reached the device
-  EXPECT_EQ(rig.device->inspect(ids[2])[0], 0u);  // newest is still only cached
+  // The victim reached the device; the newest is still only cached.
+  EXPECT_EQ(testing::inspectWord(*rig.device, ids[0]), 1u);
+  EXPECT_EQ(testing::inspectWord(*rig.device, ids[2]), 0u);
 }
 
 // Satellite: a write-through write refreshing a resident frame must
@@ -134,7 +135,7 @@ TEST(WriteBackCache, FreedBlockIdReuseNeverResurrectsStaleData) {
   // New owner writes through the cache...
   io.withOverwrite(reused, [](std::span<Word> d) { d[0] = 0xBEEF; });
   io.flush();
-  EXPECT_EQ(rig.device->inspect(reused)[0], 0xBEEFu);
+  EXPECT_EQ(testing::inspectWord(*rig.device, reused), 0xBEEFu);
 
   // ...and the variant where the new owner writes the device directly
   // (a non-cached code path): the stale frame must already be gone.
@@ -143,7 +144,7 @@ TEST(WriteBackCache, FreedBlockIdReuseNeverResurrectsStaleData) {
   ASSERT_EQ(again, a);
   rig.device->withOverwrite(again, [](std::span<Word> d) { d[0] = 0xF00D; });
   cache.flush();
-  EXPECT_EQ(rig.device->inspect(again)[0], 0xF00Du);
+  EXPECT_EQ(testing::inspectWord(*rig.device, again), 0xF00Du);
 }
 
 // The tables' guarded scopes allocate and overwrite fresh blocks while
@@ -167,9 +168,9 @@ TEST(WriteBackCache, NestedAccessNeverEvictsThePinnedOuterFrame) {
     data[1] = 43;  // the outer span must still be alive
   });
   io.flush();
-  EXPECT_EQ(rig.device->inspect(outer)[0], 41u);
-  EXPECT_EQ(rig.device->inspect(outer)[1], 43u);
-  EXPECT_EQ(rig.device->inspect(inner)[0], 42u);
+  EXPECT_EQ(testing::inspectWord(*rig.device, outer), 41u);
+  EXPECT_EQ(testing::inspectWord(*rig.device, outer, 1), 43u);
+  EXPECT_EQ(testing::inspectWord(*rig.device, inner), 42u);
 }
 
 // End-to-end variant: a capacity-1 write-back cache on a chaining table
