@@ -3,17 +3,18 @@
 // Runs every table kind (plus the sharded façade) through the full
 // pipelined + cached + arbitrated stack twice per seed: once fault-free,
 // once under a seeded transient-fault schedule (FaultPolicy p per access,
-// absorbed by the device's bounded-retry gate — see extmem/fault.h and
-// extmem/retry.h). Because the device consults the policy BEFORE an
-// access takes effect, an absorbed fault must be invisible to contents:
+// absorbed by the device's bounded retry ladder — see extmem/fault.h and
+// extmem/retry.h). Because the ladder consults the policy BEFORE an
+// attempt takes effect, an absorbed fault must be invisible to contents:
 // the two arms have to agree bit-exactly.
 //
 // PASS gate (exit 1 on any miss — CI fails the build):
 //   - the faulted arm's content digest equals the fault-free arm's;
 //   - the faulted arm's visible contents match an in-memory reference
 //     model of the op stream exactly — zero lost, zero duplicated ops;
-//   - the schedule actually fired: faults injected > 0, retries > 0,
-//     and nothing escaped the retry budget (gave-up == 0).
+//   - the schedule actually fired: faults injected > 0 (summed over the
+//     policies' own tallies), retries > 0, and nothing escaped the retry
+//     budget (gave-up == 0).
 //
 // The informational columns report the price of resilience: counted I/O
 // is identical by construction (faulted attempts never count), so the
@@ -114,7 +115,6 @@ ChaosResult chaosArm(TableKind kind, std::size_t ops_count,
   const auto arm = [&](BlockDevice& dev, std::uint64_t stream) {
     auto policy = std::make_unique<FaultPolicy>(deriveSeed(seed, stream));
     policy->setFailureProbability(0.02);
-    policy->setLatencySpike(0.01, 1);
     RetryPolicy rp;
     rp.max_attempts = 8;
     dev.setRetryPolicy(rp);
@@ -203,7 +203,7 @@ ChaosResult chaosArm(TableKind kind, std::size_t ops_count,
     }
   }
   const auto io = table->ioStats();
-  out.faults = io.faults_injected;
+  for (const auto& policy : policies) out.faults += policy->faultsInjected();
   out.retries = io.io_retries;
   out.gave_up = io.io_gave_up;
   out.io_cost = io.cost();

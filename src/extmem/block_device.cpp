@@ -22,19 +22,20 @@ BlockDevice::BlockDevice(std::size_t words_per_block,
                     "backend geometry mismatch: " << storage_->wordsPerBlock()
                                                   << " vs "
                                                   << words_per_block_);
-  storage_persistent_ = storage_->persistent();
+  use_ladder_ = storage_->persistent();
 }
 
-// ---- Backend access with the transient-retry ladder -----------------------
+// ---- The retry ladder -------------------------------------------------------
 //
-// Mirrors runFaultGate's accounting (retry.cpp) for REAL faults surfacing
-// from a persistent backend: transient outcomes (EINTR storms, EAGAIN) are
-// re-attempted within the same RetryPolicy budget — safe because store()
-// is an idempotent full-block pwrite — and escapes are re-attributed with
-// the device-level op kind and final attempt count while preserving the
-// backend's errno detail. Backend faults are NOT tallied in
-// stats_.faults_injected: that counter belongs to the injectors
-// (FaultPolicy / FaultyFileOps keep their own).
+// The device's one retry loop. Each attempt runs `fn`: the fault policy's
+// verdict and the backend call (see backendLoad/backendStore). Transient
+// outcomes — injected, or real (EINTR storms, EAGAIN) — are re-attempted
+// until RetryPolicy::max_attempts attempts have been made; that is safe
+// because a fault fires before the attempt takes effect and store() is
+// an idempotent full-block write. Escapes are re-attributed with the
+// device-level op kind and final attempt count while preserving the
+// detail and errno. A DeviceCrashed — a policy crash point or a syscall
+// power cut — freezes the device: the one freeze path.
 template <class Fn>
 auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
     -> decltype(fn()) {
@@ -44,8 +45,6 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
     try {
       return fn();
     } catch (const DeviceCrashed&) {
-      // Power cut at the syscall layer: freeze, so every later access
-      // throws — exactly like a FaultPolicy crash trigger.
       frozen_ = true;
       throw;
     } catch (const TransientIoError& error) {
@@ -60,6 +59,8 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
       }
       ++stats_.io_gave_up;
       EXTHASH_OBS_COUNT("exthash_io_gave_up_total", 1);
+      // Escaping here means no layer below the caller can mask the fault
+      // anymore — snapshot the recent past while it is still in the ring.
       obs::flightRecorderNoteFatal(error.what());
       throw TransientIoError(op, id, attempt, error.detail(),
                              error.posixErrno());
@@ -74,14 +75,40 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
 }
 
 Word* BlockDevice::backendLoad(IoOpKind op, BlockId id, Word* frame,
-                               bool fetch) {
-  return retryBackend(op, id,
-                      [&] { return storage_->load(id, frame, fetch); });
+                               bool fetch, std::optional<std::size_t>& torn) {
+  return retryBackend(op, id, [&] {
+    if (fault_policy_ != nullptr) {
+      // A crash point outlives a later attempt's verdict: the write it
+      // tears is this access's, whichever attempt gets through.
+      if (const auto crash = fault_policy_->onAccess(op, id)) torn = crash;
+      if (torn && op == IoOpKind::kRead) {
+        throw DeviceCrashed(op, id, "crash point fired");
+      }
+    }
+    // Memory hands back its slot: copy a fetch into the frame, so the
+    // access (and a torn store) never writes the slot early.
+    const Word* words = storage_->load(id, frame, fetch);
+    if (fetch && words != frame) {
+      std::copy(words, words + words_per_block_, frame);
+    }
+    return frame;
+  });
 }
 
-void BlockDevice::backendStore(IoOpKind op, BlockId id, const Word* words) {
-  if (!storage_persistent_) return storage_->store(id, words);
-  retryBackend(op, id, [&] { storage_->store(id, words); });
+void BlockDevice::backendStore(IoOpKind op, BlockId id, const Word* words,
+                               std::optional<std::size_t> torn) {
+  retryBackend(op, id, [&] {
+    if (!torn) return storage_->store(id, words);
+    // Torn write: the first *torn words land over the block's old words.
+    const std::size_t keep = std::min(*torn, words_per_block_);
+    if (keep > 0) {
+      const FrameLease old(*this);
+      Word* block = storage_->load(id, old.get(), /*fetch=*/true);
+      std::copy(words, words + keep, block);
+      storage_->store(id, block);
+    }
+    throw DeviceCrashed(op, id, "crash point fired (torn write)");
+  });
 }
 
 Word* BlockDevice::acquireFrame() const {
@@ -134,7 +161,7 @@ void BlockDevice::markAllocated(BlockId first, std::size_t count,
   // Fresh file slots read as zeros (fallocate'd, or scrubbed by
   // restoreImage). Reused slots, and any arena slot (a memory restore
   // leaves rolled-back blocks in place), may hold old bytes: zero them.
-  if (reused || !storage_persistent_) {
+  if (reused || !storage_->persistent()) {
     const FrameLease zeros(*this);
     std::fill(zeros.get(), zeros.get() + words_per_block_, Word{0});
     for (std::size_t i = 0; i < count; ++i) {
@@ -228,7 +255,7 @@ void BlockDevice::restoreImage(const Image& image) {
   // Ids past the image's watermark become never-allocated again, and a
   // fresh allocation trusts those to read back as zeros. On a persistent
   // medium they still hold the rolled-back run's bytes — scrub them.
-  if (storage_persistent_) {
+  if (storage_->persistent()) {
     const FrameLease zeros(*this);
     std::fill(zeros.get(), zeros.get() + words_per_block_, Word{0});
     for (BlockId id = image.next_id; id < next_id_; ++id) {

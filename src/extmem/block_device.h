@@ -28,28 +28,30 @@
 // introspection layer (zone accounting, audits, teardown walks, tests);
 // library code on the query/update path must never use it.
 //
-// Fault injection: setFaultPolicy() installs a seeded FaultPolicy (see
-// extmem/fault.h) consulted BEFORE every counted access takes effect —
-// a faulted attempt changes neither the statistics nor the block, so the
-// built-in retry loop (setRetryPolicy, extmem/retry.h) can safely
-// re-attempt transient faults. An access that exhausts the budget (or
-// hits a permanent fault) throws Transient-/PermanentIoError without
-// invoking the caller's callback. inspect(), allocation, and free are
-// metadata paths and never fault under an installed policy (a file
-// backend can still surface real syscall errors there).
+// One retry ladder (retryBackend, block_device.cpp). A memory device with
+// no fault policy lends its slots in place and never fails. Otherwise —
+// a persistent backend, or a FaultPolicy installed by setFaultPolicy
+// (extmem/fault.h) — every counted access runs on a leased frame inside
+// the ladder: each attempt first consults the policy, then loads the
+// block. A transient fault, injected or real (EINTR storm, EAGAIN), is
+// re-attempted within RetryPolicy's budget (extmem/retry.h); a permanent
+// one (EIO, ENOSPC, a bad sector) escapes at once. Faults fire before
+// the attempt takes effect, so a faulted attempt changes neither the
+// statistics nor the block, and an access that gives up throws
+// Transient-/PermanentIoError without invoking the caller's callback.
+// inspect(), allocation, free and captureImage/restoreImage never consult
+// the policy (a file backend can still surface real syscall errors
+// there), and sync() is never retried.
 //
-// On persistent backends the SAME retry ladder wraps the backend calls
-// themselves: a TransientIoError from a real syscall (EINTR storm,
-// EAGAIN) is re-attempted within RetryPolicy's budget — safe because
-// store() is an idempotent full-block pwrite — while PermanentIoError
-// (EIO, ENOSPC) escapes immediately and a DeviceCrashed (injected power
-// cut) freezes the device, exactly like a FaultPolicy crash trigger.
+// One freeze path: a DeviceCrashed thrown inside the ladder — a policy
+// crash point, or a power cut at the syscall layer — freezes the device.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -121,11 +123,6 @@ class BlockDevice {
     EXTHASH_OBS_TIMED("exthash_device_read_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kRead, id);
-    try {
-      faultGate(IoOpKind::kRead, id);
-    } catch (const CrashRequested&) {
-      crashNow(IoOpKind::kRead, id);
-    }
     return access<IoOpKind::kRead>(id, fn);
   }
 
@@ -137,12 +134,6 @@ class BlockDevice {
     EXTHASH_OBS_TIMED("exthash_device_rmw_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kRmw, id);
-    try {
-      faultGate(IoOpKind::kRmw, id);
-    } catch (const CrashRequested& crash) {
-      crashTornWrite(IoOpKind::kRmw, id, crash.torn_words,
-                     /*zero_first=*/false, fn);
-    }
     return access<IoOpKind::kRmw>(id, fn);
   }
 
@@ -153,12 +144,6 @@ class BlockDevice {
     EXTHASH_OBS_TIMED("exthash_device_write_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kWrite, id);
-    try {
-      faultGate(IoOpKind::kWrite, id);
-    } catch (const CrashRequested& crash) {
-      crashTornWrite(IoOpKind::kWrite, id, crash.torn_words,
-                     /*zero_first=*/true, fn);
-    }
     return access<IoOpKind::kWrite>(id, fn);
   }
 
@@ -184,18 +169,18 @@ class BlockDevice {
   }
   std::uint32_t accessLatency() const noexcept { return latency_spins_; }
 
-  /// Install a fault scripter consulted before every counted access (see
-  /// the file comment; nullptr uninstalls — the default, zero-cost path).
-  /// Non-owning: the policy must outlive its installation. Thread
-  /// compatibility matches the device itself.
+  /// Install a fault scripter consulted by every attempt of a counted
+  /// access (see the file comment; nullptr uninstalls — the default,
+  /// zero-cost path). Non-owning: the policy must outlive its
+  /// installation. Thread compatibility matches the device itself.
   void setFaultPolicy(FaultPolicy* policy) noexcept {
     fault_policy_ = policy;
+    use_ladder_ = policy != nullptr || storage_->persistent();
   }
   FaultPolicy* faultPolicy() const noexcept { return fault_policy_; }
 
-  /// Retry budget for transient faults — injected ones (FaultPolicy) and,
-  /// on persistent backends, real transient syscall outcomes (EINTR,
-  /// EAGAIN) alike.
+  /// Retry budget for transient faults — injected ones (FaultPolicy) and
+  /// real transient syscall outcomes (EINTR, EAGAIN) share it.
   void setRetryPolicy(const RetryPolicy& policy) noexcept {
     retry_policy_ = policy;
   }
@@ -206,7 +191,7 @@ class BlockDevice {
   const StorageBackend& storage() const noexcept { return *storage_; }
   std::string_view storageName() const noexcept { return storage_->name(); }
   /// True when the backend hits a medium that can actually fail (files).
-  bool storagePersistent() const noexcept { return storage_persistent_; }
+  bool storagePersistent() const noexcept { return storage_->persistent(); }
 
   /// Copying variants (convenience for tests).
   std::vector<Word> readCopy(BlockId id);
@@ -243,7 +228,9 @@ class BlockDevice {
   // deterministic access: for write kinds the first `torn_words` words of
   // the in-flight write persist and the rest keep their old contents (a
   // torn sector), then every further counted access throws DeviceCrashed
-  // until thaw() — the "machine rebooted" seam recovery runs behind.
+  // until thaw() — the "machine rebooted" seam recovery runs behind. A
+  // crashing read is not counted; a crashing write or rmw is, like a
+  // write cut short by a syscall power cut.
   // Metadata paths stay teardown-safe: free()/freeExtent() on a frozen
   // device are silent no-ops (destructors of the doomed stack unwind
   // through them), while allocation throws.
@@ -289,23 +276,10 @@ class BlockDevice {
     }
   }
 
-  /// One branch on the no-policy fast path; with a policy installed,
-  /// defers to runFaultGate (retry loop + fault accounting, retry.h).
-  void faultGate(IoOpKind op, BlockId id) {
-    if (fault_policy_ != nullptr) {
-      runFaultGate(*fault_policy_, retry_policy_, op, id, stats_);
-    }
-  }
-
   void throwIfFrozen(IoOpKind op, BlockId id) const {
     if (frozen_) {
       throw DeviceCrashed(op, id, "device frozen by simulated crash");
     }
-  }
-
-  [[noreturn]] void crashNow(IoOpKind op, BlockId id) {
-    frozen_ = true;
-    throw DeviceCrashed(op, id, "crash point fired");
   }
 
   /// One frame of the device's frame stack, held for one callback. The
@@ -325,27 +299,28 @@ class BlockDevice {
   Word* acquireFrame() const;
   void releaseFrame() const noexcept;
 
-  /// A counted access past its fault gate: lend fn the block's words,
-  /// fetched (read, rmw) or zeroed (write), and store them back after fn
-  /// (rmw, write). Memory lends its slot in place; a persistent backend
-  /// gets a leased frame and the retry ladder.
+  /// A counted access: lend fn the block's words, fetched (read, rmw) or
+  /// zeroed (write), and store them back after fn (rmw, write). Memory
+  /// without a fault policy lends its slot in place; otherwise the access
+  /// runs on a leased frame inside the retry ladder.
   template <IoOpKind Op, class F>
   decltype(auto) access(BlockId id, F& fn) {
     using Span = std::conditional_t<Op == IoOpKind::kRead,
                                     std::span<const Word>, std::span<Word>>;
     constexpr bool kFetch = Op != IoOpKind::kWrite;
-    if (!storage_persistent_) {
+    if (!use_ladder_) {
       return fn(Span(counted<Op>(storage_->load(id, nullptr, kFetch)),
                      words_per_block_));
     }
     const FrameLease frame(*this);
-    Word* p = counted<Op>(backendLoad(Op, id, frame.get(), kFetch));
+    std::optional<std::size_t> torn;
+    Word* p = counted<Op>(backendLoad(Op, id, frame.get(), kFetch, torn));
     if constexpr (Op == IoOpKind::kRead) {
       return fn(Span(p, words_per_block_));
     } else {
       return detail::invokeThen(
           [&]() -> decltype(auto) { return fn(Span(p, words_per_block_)); },
-          [&] { backendStore(Op, id, p); });
+          [&] { backendStore(Op, id, p, torn); });
     }
   }
 
@@ -366,39 +341,16 @@ class BlockDevice {
     return p;
   }
 
-  /// Torn-write protocol: run the caller's fill on a scratch copy (so we
-  /// know what the write WOULD have produced), persist only the first
-  /// `torn_words` words of it, freeze, throw. torn_words = 0 models a
-  /// write lost whole; anything between 0 and wordsPerBlock() models a
-  /// sector torn mid-transfer. Backend calls here are deliberately bare —
-  /// the machine is dying; a failure of the tear itself just loses more.
-  template <class F>
-  [[noreturn]] void crashTornWrite(IoOpKind op, BlockId id,
-                                   std::size_t torn_words, bool zero_first,
-                                   F& fn) {
-    std::vector<Word> scratch(words_per_block_, Word{0});
-    const FrameLease frame(*this);
-    if (!zero_first) {
-      const Word* live = storage_->load(id, frame.get(), /*fetch=*/true);
-      std::copy(live, live + words_per_block_, scratch.begin());
-    }
-    fn(std::span<Word>(scratch.data(), words_per_block_));
-    const std::size_t keep = std::min(torn_words, words_per_block_);
-    if (keep > 0) {
-      Word* live = storage_->load(id, frame.get(), /*fetch=*/true);
-      std::copy(scratch.begin(),
-                scratch.begin() + static_cast<std::ptrdiff_t>(keep), live);
-      storage_->store(id, live);
-    }
-    frozen_ = true;
-    throw DeviceCrashed(op, id, "crash point fired (torn write)");
-  }
-
-  // The backend calls inside the transient-retry ladder (.cpp). Only
-  // persistent backends load through it; backendStore also serves the
-  // cold paths, as a straight call on MemStorage.
-  Word* backendLoad(IoOpKind op, BlockId id, Word* frame, bool fetch);
-  void backendStore(IoOpKind op, BlockId id, const Word* words);
+  // The backend calls inside the retry ladder (.cpp). backendLoad
+  // consults the fault policy on every attempt and returns `frame`
+  // holding the block (fetched) or untouched (blind write); a fired crash
+  // point lands in `torn`, which makes the matching backendStore persist
+  // only that many words and throw DeviceCrashed. backendStore also
+  // serves the uncounted cold paths (allocation scrub, restoreImage).
+  Word* backendLoad(IoOpKind op, BlockId id, Word* frame, bool fetch,
+                    std::optional<std::size_t>& torn);
+  void backendStore(IoOpKind op, BlockId id, const Word* words,
+                    std::optional<std::size_t> torn = std::nullopt);
   template <class Fn>
   auto retryBackend(IoOpKind op, BlockId id, Fn&& fn) -> decltype(fn());
 
@@ -408,7 +360,9 @@ class BlockDevice {
 
   std::size_t words_per_block_;
   std::unique_ptr<StorageBackend> storage_;
-  bool storage_persistent_ = false;
+  // Persistent backend or fault policy installed: counted accesses take
+  // the ladder on a leased frame instead of lending a slot in place.
+  bool use_ladder_ = false;
   // FrameLease's stack: frames_[0, frames_leased_) are lent out (mutable:
   // the const inspect() leases too).
   mutable std::vector<std::unique_ptr<Word[]>> frames_;

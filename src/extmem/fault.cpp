@@ -53,12 +53,6 @@ void FaultPolicy::setFailureProbability(double p) {
   for (double& slot : probability_) slot = p;
 }
 
-void FaultPolicy::setLatencySpike(double probability,
-                                  std::uint32_t extra_quanta) {
-  spike_probability_ = probability;
-  spike_quanta_ = extra_quanta;
-}
-
 void FaultPolicy::failOpNumber(IoOpKind op, std::uint64_t nth,
                                Severity severity, Durability durability) {
   op_triggers_.push_back(OpTrigger{op, nth, Trigger{severity, durability}});
@@ -76,8 +70,6 @@ void FaultPolicy::crashOpNumber(IoOpKind op, std::uint64_t nth,
 
 void FaultPolicy::clear() {
   for (double& slot : probability_) slot = 0.0;
-  spike_probability_ = 0.0;
-  spike_quanta_ = 0;
   op_triggers_.clear();
   crash_triggers_.clear();
   block_triggers_.clear();
@@ -91,16 +83,15 @@ double FaultPolicy::nextUniform() noexcept {
 }
 
 void FaultPolicy::inject(const Trigger& trigger, IoOpKind op, BlockId block,
-                         std::uint32_t attempt, const char* cause) {
-  ++faults_injected_;
+                         const char* cause) {
+  ++injected_;
   if (trigger.severity == Severity::kPermanent) {
-    throw PermanentIoError(op, block, attempt, cause);
+    throw PermanentIoError(op, block, /*attempts=*/1, cause);
   }
-  throw TransientIoError(op, block, attempt, cause);
+  throw TransientIoError(op, block, /*attempts=*/1, cause);
 }
 
-std::uint32_t FaultPolicy::onAccess(IoOpKind op, BlockId block,
-                                    std::uint32_t attempt) {
+std::optional<std::size_t> FaultPolicy::onAccess(IoOpKind op, BlockId block) {
   const std::uint64_t n = ++op_count_[index(op)];
 
   // Crash points outrank every fault: the machine dies before the access
@@ -113,7 +104,7 @@ std::uint32_t FaultPolicy::onAccess(IoOpKind op, BlockId block,
     crash_triggers_.erase(crash_triggers_.begin() +
                           static_cast<std::ptrdiff_t>(i));
     ++crashes_fired_;
-    throw CrashRequested{torn};
+    return torn;
   }
 
   // Scripted op-count triggers fire first (exact schedules beat dice).
@@ -128,26 +119,22 @@ std::uint32_t FaultPolicy::onAccess(IoOpKind op, BlockId block,
       op_triggers_.erase(op_triggers_.begin() +
                          static_cast<std::ptrdiff_t>(i));
     }
-    inject(trigger, op, block, attempt, "scripted op-count fault");
+    inject(trigger, op, block, "scripted op-count fault");
   }
 
   const auto bt = block_triggers_.find(block);
   if (bt != block_triggers_.end()) {
     const Trigger trigger = bt->second;
     if (trigger.durability == Durability::kOneShot) block_triggers_.erase(bt);
-    inject(trigger, op, block, attempt, "scripted block fault");
+    inject(trigger, op, block, "scripted block fault");
   }
 
   const double p = probability_[index(op)];
   if (p > 0.0 && nextUniform() < p) {
-    ++faults_injected_;
-    throw TransientIoError(op, block, attempt, "probabilistic fault");
+    ++injected_;
+    throw TransientIoError(op, block, /*attempts=*/1, "probabilistic fault");
   }
-
-  if (spike_probability_ > 0.0 && nextUniform() < spike_probability_) {
-    return spike_quanta_;
-  }
-  return 0;
+  return std::nullopt;
 }
 
 }  // namespace exthash::extmem

@@ -16,21 +16,28 @@
 //   BlockDevice (BlockDevice::setFaultPolicy). Supports per-op-kind
 //   failure probabilities (each access draws from a seeded stream),
 //   targeted triggers (fail the n-th access of a kind, or every access to
-//   a specific block), latency spikes, and one-shot vs sticky durability.
+//   a specific block), crash points, and one-shot vs sticky durability.
 //   Tests and benches script exact fault schedules with it; the same seed
-//   replays the same schedule.
+//   replays the same schedule. The policy keeps its own tally of the
+//   faults it injected (faultsInjected()).
 //
-// Fault-before-effect contract: the device consults the policy BEFORE the
-// access counts or mutates anything, so a faulted attempt leaves both the
-// I/O statistics and the block contents exactly as they were. That is
-// what makes a retry trivially safe (no partial write to undo) and is why
-// the chaos harness can demand bit-exact digests vs a fault-free run.
+// One ladder: the device consults the policy inside its single retry
+// loop (BlockDevice::retryBackend), once per attempt, just before the
+// attempt's backend load. An injected fault and a real transient syscall
+// error therefore draw on the same RetryPolicy budget, and the ladder
+// stamps the final attempt count on whatever escapes.
 //
-// Attempt counting: the device's retry loop re-invokes onAccess for each
-// attempt, and every invocation advances the per-kind op counter and the
-// probability stream. A one-shot trigger therefore fires on exactly one
-// attempt and the retry sails through; a sticky trigger fires on every
-// attempt until clear(), exhausting the retry budget.
+// Fault-before-effect contract: a faulted attempt throws before the
+// access counts or touches anything, so it leaves both the I/O statistics
+// and the block contents exactly as they were. That is what makes a retry
+// trivially safe (no partial write to undo) and is why the chaos harness
+// can demand bit-exact digests vs a fault-free run.
+//
+// Attempt counting: every attempt calls onAccess, and every call advances
+// the per-kind op counter and the probability stream. A one-shot trigger
+// therefore fires on exactly one attempt and the retry sails through; a
+// sticky trigger fires on every attempt until clear(), exhausting the
+// retry budget.
 //
 // Threading: a FaultPolicy is thread-compatible, exactly like the
 // BlockDevice it is installed on — each shard owns its device and its
@@ -38,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -105,25 +113,15 @@ class PermanentIoError : public IoError {
                 posix_errno) {}
 };
 
-/// The access hit a simulated machine crash: the device froze (every
-/// further counted access throws this) until thaw(). Permanent on purpose
-/// — nothing above the device can retry its way out of a crash; only the
+/// The access hit a simulated machine crash — a FaultPolicy crash point
+/// or a power cut at the syscall layer. The device froze (every further
+/// counted access throws this) until thaw(). Permanent on purpose —
+/// nothing above the device can retry its way out of a crash; only the
 /// recovery path (durability/recovery.h) brings the stack back.
 class DeviceCrashed : public PermanentIoError {
  public:
   DeviceCrashed(IoOpKind op, BlockId block, const std::string& detail)
       : PermanentIoError(op, block, /*attempts=*/1, detail) {}
-};
-
-/// Crash-point signal thrown by FaultPolicy::onAccess when an armed crash
-/// trigger fires. Deliberately NOT an IoError (not even an exception
-/// type): the retry gate catches `const IoError&` only, so this sails
-/// through it untouched and is caught by the device guard itself, which
-/// applies the torn-write protocol and freezes the device. `torn_words`
-/// is how many words of the in-flight write persist (0 = the write is
-/// lost whole; meaningless for reads).
-struct CrashRequested {
-  std::size_t torn_words = 0;
 };
 
 /// Deterministic, seeded fault scripter (see the file comment).
@@ -143,10 +141,6 @@ class FaultPolicy {
   /// Convenience: the same probability for all three op kinds.
   void setFailureProbability(double p);
 
-  /// With `probability`, an access reports `extra_quanta` additional
-  /// latency yields (a slow-path model: the op succeeds, late).
-  void setLatencySpike(double probability, std::uint32_t extra_quanta);
-
   /// Fault the `nth` access of kind `op` (1-based, counted over this
   /// policy's lifetime, attempts included).
   void failOpNumber(IoOpKind op, std::uint64_t nth,
@@ -160,11 +154,11 @@ class FaultPolicy {
                  Durability durability = Durability::kSticky);
 
   /// Crash the machine at the `nth` access of kind `op` (1-based, counted
-  /// over this policy's lifetime, attempts included): onAccess throws
-  /// CrashRequested, the device applies the torn-write protocol (for
-  /// write kinds, the first `torn_words` words of the in-flight write
-  /// persist) and freezes. One-shot by construction — a machine only
-  /// crashes once per schedule.
+  /// over this policy's lifetime, attempts included): the device freezes
+  /// and throws DeviceCrashed. A read crashes before its callback runs; a
+  /// write or rmw runs its callback and then persists only the first
+  /// `torn_words` words of what it produced (0 = the write is lost whole).
+  /// One-shot by construction — a machine only crashes once per schedule.
   void crashOpNumber(IoOpKind op, std::uint64_t nth,
                      std::size_t torn_words = 0);
 
@@ -173,7 +167,7 @@ class FaultPolicy {
   void clear();
 
   /// Faults this policy has injected (thrown) so far.
-  std::uint64_t faultsInjected() const noexcept { return faults_injected_; }
+  std::uint64_t faultsInjected() const noexcept { return injected_; }
   /// Crash triggers that have fired so far (0 or 1 per armed crash).
   std::uint64_t crashesFired() const noexcept { return crashes_fired_; }
   /// Accesses of kind `op` seen so far (attempts included).
@@ -182,9 +176,10 @@ class FaultPolicy {
   }
 
   /// Device hook, called once per access attempt BEFORE the op takes
-  /// effect. Throws TransientIoError / PermanentIoError (attempts = the
-  /// given attempt number) or returns extra latency quanta to simulate.
-  std::uint32_t onAccess(IoOpKind op, BlockId block, std::uint32_t attempt);
+  /// effect. Throws TransientIoError / PermanentIoError (attempts = 1;
+  /// the device's ladder stamps the final count). Returns a fired crash
+  /// point's torn_words, or nullopt when the attempt may proceed.
+  std::optional<std::size_t> onAccess(IoOpKind op, BlockId block);
 
  private:
   struct Trigger {
@@ -206,18 +201,16 @@ class FaultPolicy {
     return static_cast<std::size_t>(op);
   }
   [[noreturn]] void inject(const Trigger& trigger, IoOpKind op, BlockId block,
-                           std::uint32_t attempt, const char* cause);
+                           const char* cause);
   double nextUniform() noexcept;
 
   std::uint64_t rng_state_;
   double probability_[3] = {0.0, 0.0, 0.0};
-  double spike_probability_ = 0.0;
-  std::uint32_t spike_quanta_ = 0;
   std::uint64_t op_count_[3] = {0, 0, 0};
   std::vector<OpTrigger> op_triggers_;
   std::vector<CrashTrigger> crash_triggers_;
   std::unordered_map<BlockId, Trigger> block_triggers_;
-  std::uint64_t faults_injected_ = 0;
+  std::uint64_t injected_ = 0;
   std::uint64_t crashes_fired_ = 0;
 };
 

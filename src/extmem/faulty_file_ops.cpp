@@ -78,7 +78,7 @@ std::uint64_t FaultyFileOps::count(FileSyscall sc) const {
 
 std::uint64_t FaultyFileOps::faultsInjected() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return faults_injected_;
+  return injected_;
 }
 
 bool FaultyFileOps::powerCutFired() const {
@@ -134,13 +134,13 @@ int FaultyFileOps::gate(FileSyscall sc, const void* in_flight,
     if (!t.sticky) {
       triggers_.erase(triggers_.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    ++faults_injected_;
+    ++injected_;
     return err;
   }
 
   const double p = probability_[index(sc)];
   if (p > 0.0 && nextUniform() < p) {
-    ++faults_injected_;
+    ++injected_;
     return probability_err_[index(sc)];
   }
   return 0;
@@ -187,7 +187,7 @@ ssize_t FaultyFileOps::pread(int fd, void* buf, std::size_t count,
     if (short_reads_[i].nth != n) continue;
     want = std::min(want, short_reads_[i].bytes);
     short_reads_.erase(short_reads_.begin() + static_cast<std::ptrdiff_t>(i));
-    ++faults_injected_;
+    ++injected_;
     break;
   }
   return buffering_ ? bufferedPread(fd, buf, want, offset)
@@ -213,7 +213,7 @@ ssize_t FaultyFileOps::pwrite(int fd, const void* buf, std::size_t count,
     torn_err = short_writes_[i].err;
     short_writes_.erase(short_writes_.begin() +
                         static_cast<std::ptrdiff_t>(i));
-    ++faults_injected_;
+    ++injected_;
     break;
   }
 

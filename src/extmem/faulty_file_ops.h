@@ -126,7 +126,7 @@ class FaultyFileOps final : public FileOps {
   std::uint64_t rng_state_;
   std::uint64_t total_syscalls_ = 0;
   std::uint64_t per_kind_[4] = {0, 0, 0, 0};
-  std::uint64_t faults_injected_ = 0;
+  std::uint64_t injected_ = 0;
   double probability_[4] = {0, 0, 0, 0};
   int probability_err_[4] = {0, 0, 0, 0};
   std::vector<Trigger> triggers_;

@@ -96,8 +96,14 @@ FileStorage::FileStorage(std::size_t words_per_block, std::string path,
     try {
       int rc = 0;
       int eintr = 0;
-      while (dfd >= 0 && (rc = ops_->fsync(dfd)) < 0 && errno == EINTR &&
-             ++eintr < kEintrBudget) {
+      try {
+        while (dfd >= 0 && (rc = ops_->fsync(dfd)) < 0 && errno == EINTR &&
+               ++eintr < kEintrBudget) {
+        }
+      } catch (const PowerLoss& cut) {
+        throw DeviceCrashed(IoOpKind::kWrite, kInvalidBlock,
+                            "power lost during fsync(dir) (syscall " +
+                                std::to_string(cut.syscall_index) + ")");
       }
       if (rc < 0) {
         throwErrno(IoOpKind::kWrite, kInvalidBlock, errno, "fsync(dir)");

@@ -18,8 +18,9 @@
 //   - sync() is fdatasync; creation of a fresh file is followed by an
 //     fsync of its parent directory, so the directory entry survives too
 //   - an injected PowerLoss (faulty_file_ops.h) is converted to
-//     DeviceCrashed at this boundary, freezing the owning device exactly
-//     like a FaultPolicy crash point.
+//     DeviceCrashed at this boundary — the constructor's directory fsync
+//     included — and the device's retry ladder freezes on it exactly as
+//     on a FaultPolicy crash point.
 //
 // No block is held in memory between calls: load() preads into the frame
 // the caller supplies and store() pwrites from the caller's words, so

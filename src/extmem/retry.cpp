@@ -1,10 +1,7 @@
 #include "extmem/retry.h"
 
 #include <algorithm>
-#include <thread>
 
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace exthash::extmem {
@@ -23,42 +20,6 @@ std::uint32_t RetryPolicy::backoffQuantaFor(std::uint32_t attempt,
       splitmix64(jitter_seed ^ (block * 0x9E3779B97F4A7C15ULL) ^ attempt) %
       (base + 1);
   return static_cast<std::uint32_t>(base + jitter);
-}
-
-namespace {
-
-void yieldQuanta(std::uint32_t quanta) {
-  for (std::uint32_t i = 0; i < quanta; ++i) std::this_thread::yield();
-}
-
-}  // namespace
-
-void runFaultGate(FaultPolicy& policy, const RetryPolicy& retry, IoOpKind op,
-                  BlockId block, IoStats& stats) {
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    try {
-      yieldQuanta(policy.onAccess(op, block, attempt));
-      return;
-    } catch (const IoError& error) {
-      ++stats.faults_injected;
-      EXTHASH_OBS_COUNT("exthash_io_faults_injected_total", 1);
-      if (error.transient() && attempt < retry.max_attempts) {
-        ++stats.io_retries;
-        EXTHASH_OBS_COUNT("exthash_io_retries_total", 1);
-        yieldQuanta(retry.backoffQuantaFor(attempt, block));
-        continue;
-      }
-      ++stats.io_gave_up;
-      EXTHASH_OBS_COUNT("exthash_io_gave_up_total", 1);
-      // Escaping here means no layer below the caller can mask the fault
-      // anymore — snapshot the recent past while it is still in the ring.
-      obs::flightRecorderNoteFatal(error.what());
-      if (error.transient()) {
-        throw TransientIoError(op, block, attempt, "retry budget exhausted");
-      }
-      throw PermanentIoError(op, block, attempt, "unretryable fault");
-    }
-  }
 }
 
 }  // namespace exthash::extmem

@@ -1,16 +1,18 @@
 // Bounded retry with exponential backoff + deterministic jitter for
 // transient I/O faults.
 //
-// The retry loop lives at the single choke point every counted access
-// funnels through — the BlockDevice's guarded withRead / withWrite /
-// withOverwrite calls — so CachedBlockIo, the BlockCache's miss-fill and
-// write-back paths, and the tables' direct device accesses (merge
-// cursors, run writers) all inherit it from one mechanism. A
-// TransientIoError from the installed FaultPolicy is re-attempted up to
-// RetryPolicy::max_attempts times with exponentially growing, jittered
-// backoff; a PermanentIoError escapes immediately. Because the device
-// consults the policy before the op takes effect (fault-before-effect,
-// see fault.h), re-attempting is always safe: no partial state exists.
+// There is one retry loop, BlockDevice::retryBackend (block_device.cpp),
+// and every counted access funnels through it whenever a FaultPolicy is
+// installed or the backend is persistent — so CachedBlockIo, the
+// BlockCache's miss-fill and write-back paths, and the tables' direct
+// device accesses (merge cursors, run writers) all inherit it. Each
+// attempt first consults the installed FaultPolicy, then calls the
+// backend; a TransientIoError from either is re-attempted until
+// RetryPolicy::max_attempts attempts have been made, with exponentially
+// growing, jittered backoff; a PermanentIoError escapes immediately.
+// Re-attempting is always safe: an injected fault fires before the
+// attempt takes effect (fault-before-effect, see fault.h), and the
+// backend's store is an idempotent full-block write.
 //
 // Determinism: backoff is expressed in scheduler-yield quanta (like
 // BlockDevice::setAccessLatency) and the jitter is a pure hash of
@@ -18,15 +20,15 @@
 // chaos run replays identically.
 //
 // Accounting: each re-attempt increments IoStats::io_retries; an escape
-// (budget exhausted, or permanent) increments IoStats::io_gave_up; every
-// injected fault increments IoStats::faults_injected. Mirrored to the
-// obs:: metrics registry while the telemetry latch is on.
+// (budget exhausted, or permanent) increments IoStats::io_gave_up. Both
+// are mirrored to the obs:: metrics registry while the telemetry latch
+// is on. Injected faults are tallied by the injectors themselves
+// (FaultPolicy::faultsInjected, FaultyFileOps::faultsInjected).
 #pragma once
 
 #include <cstdint>
 
 #include "extmem/fault.h"
-#include "extmem/io_stats.h"
 
 namespace exthash::extmem {
 
@@ -47,13 +49,5 @@ struct RetryPolicy {
   std::uint32_t backoffQuantaFor(std::uint32_t attempt,
                                  BlockId block) const noexcept;
 };
-
-/// The device-side gate: run `policy.onAccess` for one counted access,
-/// absorbing transient faults within `retry`'s budget (yield-backoff
-/// between attempts, latency spikes honored) and updating `stats`'
-/// faults_injected / io_retries / io_gave_up counters. Throws the final
-/// Transient-/PermanentIoError (attempt count filled in) on give-up.
-void runFaultGate(FaultPolicy& policy, const RetryPolicy& retry, IoOpKind op,
-                  BlockId block, IoStats& stats);
 
 }  // namespace exthash::extmem

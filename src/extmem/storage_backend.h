@@ -1,7 +1,8 @@
 // Storage seam under BlockDevice: where block contents actually live.
 //
-// BlockDevice owns the MODEL — counted I/O, allocation, fault injection,
-// retry, crash freezing. A StorageBackend owns the BYTES. Two backends:
+// BlockDevice owns the MODEL — counted I/O, allocation, and the one retry
+// ladder, which consults the fault policy on every attempt and freezes
+// the device on any crash. A StorageBackend owns the BYTES. Two backends:
 //
 //   MemStorage  — the original in-memory chunk array. load/store are
 //                 pointer math; sync is a no-op. Byte-identical to the
@@ -9,8 +10,8 @@
 //   FileStorage — a preallocated file driven by pread/pwrite/fdatasync
 //                 (extmem/file_storage.h). Real errno outcomes map onto
 //                 the same IoError taxonomy the FaultPolicy uses, so the
-//                 retry/quarantine/fail-stop ladder above the device
-//                 carries over unchanged.
+//                 device's retry ladder and the quarantine/fail-stop
+//                 layers above it treat both alike.
 //
 // Contract (what BlockDevice relies on):
 //   - load(id, frame, fetch) returns the block's words: MemStorage's own
@@ -19,12 +20,14 @@
 //     overwrite). FileStorage keeps no block in memory between calls.
 //   - store(id, words) persists a whole block (a no-op for MemStorage's
 //     own slot). Re-issuing it is idempotent (a full-block pwrite), which
-//     is what makes the device-level transient retry safe on real files.
+//     is what makes the device's retry ladder safe on real files. The
+//     device also uses load + store to tear a write at a crash point.
 //   - sync() is the durability barrier (fdatasync); throwing means dirty
 //     state may be lost and the caller must treat the data as unacked.
 //   - Backends throw TransientIoError / PermanentIoError (errno attached)
 //     on failure and PowerLoss-derived DeviceCrashed on an injected
-//     power cut; MemStorage never throws.
+//     power cut, which the ladder turns into a device freeze; MemStorage
+//     never throws.
 #pragma once
 
 #include <algorithm>
@@ -60,7 +63,8 @@ class StorageBackend {
   virtual void sync() = 0;
 
   /// True when store()/sync() hit a medium that can actually fail — the
-  /// device wraps accesses in its transient-retry ladder only then.
+  /// device then runs every counted access through its retry ladder (as
+  /// it does on any backend while a FaultPolicy is installed).
   virtual bool persistent() const noexcept = 0;
   virtual std::string_view name() const noexcept = 0;
 };

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <string>
 #include <vector>
 
 #include "extmem/faulty_file_ops.h"
@@ -201,6 +202,61 @@ TEST(BlockDevice, FailedAllocationLeavesTheIdSpaceUnchanged) {
   shim.clear();
   EXPECT_EQ(dev.allocateExtent(2000), id_space);
   EXPECT_EQ(dev.idSpaceSize(), id_space + 2000);
+}
+
+// A crash point on a write tears the block: words [0, torn) hold what the
+// crashing write produced, words [torn, b) keep their old contents, and
+// the device stays frozen until thaw(). A crashing read dies before its
+// callback runs.
+void checkCrashPointsTearWrites(const StorageOptions& storage) {
+  constexpr std::size_t kWords = 8;
+  const auto addTwo = [](std::span<Word> words) {
+    for (Word& w : words) w += 2;
+  };
+  for (const IoOpKind op : {IoOpKind::kRmw, IoOpKind::kWrite}) {
+    for (const std::size_t torn : {std::size_t{0}, std::size_t{3}}) {
+      SCOPED_TRACE(std::string(ioOpKindName(op)) + " torn " +
+                   std::to_string(torn));
+      BlockDevice dev(kWords, storage);
+      const BlockId id = dev.allocate();
+      dev.writeCopy(id, std::vector<Word>(kWords, 7));
+      FaultPolicy policy(/*seed=*/1);
+      policy.crashOpNumber(op, 1, torn);
+      dev.setFaultPolicy(&policy);
+      if (op == IoOpKind::kRmw) {
+        EXPECT_THROW(dev.withWrite(id, addTwo), DeviceCrashed);
+      } else {
+        EXPECT_THROW(dev.withOverwrite(id, addTwo), DeviceCrashed);
+      }
+      EXPECT_TRUE(dev.frozen());
+      EXPECT_THROW(dev.readCopy(id), DeviceCrashed);
+
+      dev.thaw();
+      // An rmw adds 2 to the old 7s; a blind write adds 2 to zeros.
+      std::vector<Word> want(kWords, 7);
+      std::fill_n(want.begin(), torn, op == IoOpKind::kRmw ? 9 : 2);
+      EXPECT_EQ(dev.readCopy(id), want);
+    }
+  }
+
+  BlockDevice dev(kWords, storage);
+  const BlockId id = dev.allocate();
+  FaultPolicy policy(/*seed=*/1);
+  policy.crashOpNumber(IoOpKind::kRead, 1);
+  dev.setFaultPolicy(&policy);
+  bool ran = false;
+  EXPECT_THROW(dev.withRead(id, [&](std::span<const Word>) { ran = true; }),
+               DeviceCrashed);
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(dev.frozen());
+}
+
+TEST(BlockDevice, CrashPointsTearWritesInMemory) {
+  checkCrashPointsTearWrites(StorageOptions{});
+}
+
+TEST(BlockDevice, CrashPointsTearWritesOnFiles) {
+  checkCrashPointsTearWrites(onFiles());
 }
 
 TEST(BlockDevice, RejectsTinyBlocks) {

@@ -363,6 +363,29 @@ TEST(FileStorage, FailedDirectorySyncReleasesTheNewFile) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
+// A power cut at the parent-directory fsync leaves the constructor as
+// DeviceCrashed, like every other syscall site, with the same cleanup.
+TEST(FileStorage, PowerCutDuringConstructionThrowsDeviceCrashed) {
+  FaultyFileOps shim(/*seed=*/9);
+  const std::string dir = fileOptions().directory;
+  const std::filesystem::path base =
+      dir.empty() ? std::filesystem::temp_directory_path()
+                  : std::filesystem::path(dir);
+  std::filesystem::create_directories(base);
+  const std::filesystem::path path =
+      base / ("power-cut-" + std::to_string(::getpid()) + ".blocks");
+  std::filesystem::remove(path);
+  extmem::FileStorageOptions options;
+  options.ops = &shim;
+  shim.powerCutAfter(shim.syscalls() + 1);
+  const std::size_t fds = openFdCount();
+  EXPECT_THROW(FileStorage(kWords, path.string(), options), DeviceCrashed);
+  EXPECT_TRUE(shim.powerCutFired());
+  EXPECT_EQ(openFdCount(), fds);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_THROW(BlockDevice(kWords, shimOptions(shim)), DeviceCrashed);
+}
+
 // ---------------------------------------------------------------------------
 // The syscall power cut: fsync discipline, for real.
 // ---------------------------------------------------------------------------
