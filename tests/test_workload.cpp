@@ -6,6 +6,7 @@
 
 #include "table_test_util.h"
 #include "tables/chaining_table.h"
+#include "tables/factory.h"
 #include "workload/keygen.h"
 #include "workload/runner.h"
 #include "workload/trace.h"
@@ -125,6 +126,69 @@ TEST(Runner, UnsuccessfulSamplingWorks) {
   cfg.measure_unsuccessful = true;
   const auto m = runMeasurement(table, keys, cfg);
   EXPECT_GE(m.tq_unsuccessful, 1.0);
+}
+
+// The paper's protocol pinned to exact integers, so a refactor of the
+// runner (or of anything under it) that moves a single counted I/O or a
+// single sampled lookup fails here. The query budget is a power of two,
+// so each checkpoint average is exact in binary and sum × budget is an
+// exact sample total; the means (also divided by the checkpoint count)
+// are compared to within a few ulps.
+struct ProtocolPin {
+  const char* name;
+  tables::TableKind kind;
+  std::uint64_t reads, writes, rmws;
+  std::size_t checkpoints;
+  double tq_sum_total;    // sum over checkpoints of sampled lookup I/O
+  double tq_final_total;  // sampled lookup I/O at the final snapshot
+  double miss_sum_total;  // sum over checkpoints of absent-key lookup I/O
+};
+
+TEST(Runner, PaperProtocolIsBitStable) {
+  constexpr std::size_t kQueries = 64;
+  const ProtocolPin pins[] = {
+      {"chaining", tables::TableKind::kChaining, 0, 1, 4096, 6, 385, 64, 385},
+      {"buffered", tables::TableKind::kBuffered, 3826, 4335, 0, 6, 399, 69,
+       576},
+      {"log-method", tables::TableKind::kLogMethod, 1371, 1877, 0, 6, 621, 175,
+       769},
+      {"sharded-chaining", tables::TableKind::kSharded, 0, 3, 4096, 6, 384, 64,
+       384},
+  };
+  for (const ProtocolPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    TestRig rig(16);
+    tables::GeneralConfig gc;
+    gc.expected_n = 4096;
+    gc.target_load = 0.5;
+    gc.buffer_items = 64;
+    gc.beta = 8;
+    gc.gamma = 2;
+    gc.shards = 4;
+    gc.sharded_inner = tables::TableKind::kChaining;
+    gc.shard_threads = 2;
+    auto table = tables::makeTable(pin.kind, rig.context(), gc);
+    DistinctKeyStream keys(31);
+    MeasurementConfig cfg;
+    cfg.n = 4096;
+    cfg.queries_per_checkpoint = kQueries;
+    cfg.checkpoints = 6;
+    cfg.seed = 5;
+    cfg.measure_unsuccessful = true;
+    const auto m = runMeasurement(*table, keys, cfg);
+    const std::size_t cps = m.checkpoint_costs.count();
+    EXPECT_EQ(m.insert_io.reads, pin.reads);
+    EXPECT_EQ(m.insert_io.writes, pin.writes);
+    EXPECT_EQ(m.insert_io.rmws, pin.rmws);
+    EXPECT_EQ(cps, pin.checkpoints);
+    EXPECT_EQ(m.checkpoint_costs.sum() * kQueries, pin.tq_sum_total);
+    EXPECT_DOUBLE_EQ(m.tq_mean * kQueries * static_cast<double>(cps),
+                     pin.tq_sum_total);
+    EXPECT_EQ(m.tq_final * kQueries, pin.tq_final_total);
+    EXPECT_DOUBLE_EQ(m.tq_unsuccessful * kQueries * static_cast<double>(cps),
+                     pin.miss_sum_total);
+    EXPECT_EQ(m.tu, static_cast<double>(m.insert_io.cost()) / 4096.0);
+  }
 }
 
 TEST(Runner, BatchedQueriesSampleBothSuccessAndMisses) {
