@@ -5,8 +5,8 @@
 // extmem/replacement_policy.h) is the cache's own business: this view
 // forwards accesses and coherence events and is policy-agnostic. Pick the
 // policy where the cache is built — BlockCache's constructor,
-// ShardedTableConfig::cache_replacement for the façade's auto-attached
-// caches, or MeasurementConfig::cache_replacement in the workload runner.
+// or ShardedTableConfig::cache_replacement for the façade's auto-attached
+// caches.
 //
 // The bucketed tables' grouped batch paths (chain walks, probe runs) used
 // to talk to the BlockDevice directly, bypassing any cache and re-paying a
@@ -41,8 +41,8 @@
 // deallocation walks, and any I/O-accounting read that must include the
 // deferred writes — must be preceded by flush(). The library inserts
 // these barriers at: table destructors / destroy(), visitLayout,
-// IngestPipeline::drain(), and the measurement runner's quiescent drain
-// points (so tu/tq charge the deferred writes honestly). Code outside
+// IngestPipeline::drain(), and the measurement runner's checkpoints (so
+// tu/tq charge the deferred writes honestly). Code outside
 // those paths can rely on withRead/withWrite seeing dirty data coherently
 // without ever flushing.
 #pragma once

@@ -3,24 +3,15 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/random.h"
-
 namespace exthash::extmem {
 
-FaultyFileOps::FaultyFileOps(std::uint64_t seed, FileOps* inner)
-    : inner_(inner != nullptr ? inner : &realFileOps()),
-      rng_state_(splitmix64(seed ^ 0xF11E0F5FA017C0DEULL)) {}
+FaultyFileOps::FaultyFileOps(FileOps* inner)
+    : inner_(inner != nullptr ? inner : &realFileOps()) {}
 
 void FaultyFileOps::failNth(FileSyscall sc, std::uint64_t nth, int err,
                             bool sticky) {
   std::lock_guard<std::mutex> lock(mutex_);
   triggers_.push_back(Trigger{sc, nth, err, sticky});
-}
-
-void FaultyFileOps::setErrnoProbability(FileSyscall sc, double p, int err) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  probability_[index(sc)] = p;
-  probability_err_[index(sc)] = err;
 }
 
 void FaultyFileOps::shortReadNth(std::uint64_t nth, std::size_t bytes) {
@@ -61,7 +52,6 @@ void FaultyFileOps::clear() {
   triggers_.clear();
   short_reads_.clear();
   short_writes_.clear();
-  for (double& p : probability_) p = 0;
   cut_at_ = 0;
   cut_torn_bytes_ = 0;
 }
@@ -84,11 +74,6 @@ std::uint64_t FaultyFileOps::faultsInjected() const {
 bool FaultyFileOps::powerCutFired() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return cut_fired_;
-}
-
-double FaultyFileOps::nextUniform() {
-  rng_state_ += 0x9e3779b97f4a7c15ULL;
-  return static_cast<double>(splitmix64(rng_state_) >> 11) * 0x1.0p-53;
 }
 
 void FaultyFileOps::dieLocked() {
@@ -136,12 +121,6 @@ int FaultyFileOps::gate(FileSyscall sc, const void* in_flight,
     }
     ++injected_;
     return err;
-  }
-
-  const double p = probability_[index(sc)];
-  if (p > 0.0 && nextUniform() < p) {
-    ++injected_;
-    return probability_err_[index(sc)];
   }
   return 0;
 }

@@ -6,8 +6,8 @@
 // the whole resilience stack is exercised against exactly the failures a
 // real filesystem produces:
 //
-//   failNth / setErrnoProbability — the nth (or a seeded coin-flip)
-//       syscall of a kind returns -1 with a scripted errno.
+//   failNth — the nth syscall of a kind returns -1 with a scripted
+//       errno.
 //   shortReadNth / shortWriteNth — the nth pread/pwrite transfers only
 //       `bytes` and returns the short count (the resume loops must cope).
 //   tornWriteNth — the nth pwrite persists only a prefix, THEN fails:
@@ -26,8 +26,8 @@
 // Without buffering, a missing fsync could never lose data and the WAL's
 // ack-after-sync contract would be vacuous.
 //
-// Determinism: counters and the probability stream are seeded SplitMix64,
-// like FaultPolicy. Thread-safe (one mutex around every call): the WAL's
+// Determinism: every script fires on a syscall count, so a schedule
+// replays exactly. Thread-safe (one mutex around every call): the WAL's
 // group-commit leader and a checkpoint's manifest writes may hit a shared
 // shim from different threads.
 #pragma once
@@ -43,7 +43,7 @@ namespace exthash::extmem {
 
 class FaultyFileOps final : public FileOps {
  public:
-  explicit FaultyFileOps(std::uint64_t seed, FileOps* inner = nullptr);
+  explicit FaultyFileOps(FileOps* inner = nullptr);
 
   // ---- Scripting (arm before traffic; thread-safe) ----------------------
 
@@ -51,9 +51,6 @@ class FaultyFileOps final : public FileOps {
   /// `err`. Sticky triggers fire on every later matching syscall too.
   void failNth(FileSyscall sc, std::uint64_t nth, int err,
                bool sticky = false);
-  /// Every syscall of kind `sc` fails with `err` with probability `p`
-  /// (independent seeded draws — retries eventually pass for p < 1).
-  void setErrnoProbability(FileSyscall sc, double p, int err);
   /// The `nth` pread transfers only `bytes` (short read).
   void shortReadNth(std::uint64_t nth, std::size_t bytes);
   /// The `nth` pwrite transfers only `bytes` (short write; succeeds).
@@ -118,17 +115,13 @@ class FaultyFileOps final : public FileOps {
   int gate(FileSyscall sc, const void* in_flight, std::size_t count, int fd,
            off_t offset);
   void dieLocked();
-  double nextUniform();
   ssize_t bufferedPread(int fd, void* buf, std::size_t count, off_t offset);
 
   mutable std::mutex mutex_;
   FileOps* inner_;
-  std::uint64_t rng_state_;
   std::uint64_t total_syscalls_ = 0;
   std::uint64_t per_kind_[4] = {0, 0, 0, 0};
   std::uint64_t injected_ = 0;
-  double probability_[4] = {0, 0, 0, 0};
-  int probability_err_[4] = {0, 0, 0, 0};
   std::vector<Trigger> triggers_;
   std::vector<ShortIo> short_reads_;
   std::vector<ShortIo> short_writes_;

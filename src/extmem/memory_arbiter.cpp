@@ -177,7 +177,7 @@ void MemoryArbiter::rebalance() {
       // conserved instead of leaking a sliver every failed interval.
       // The regrow UNDOES shrinks counted a moment ago, so it cancels
       // out of delta_sum rather than double-counting refused churn as
-      // movement (arbiter_moves is a gated metric).
+      // movement (moves() is a gated metric).
       cache_frames_ += staging_frames_ - staging_before;
       staging_frames_ = staging_before;
       const std::uint64_t undo = applyCacheSplit();

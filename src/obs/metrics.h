@@ -11,10 +11,9 @@
 // leaves no registry entry behind.
 //
 // The classes themselves are usable directly — tests exercise the
-// percentile math and the exposition format, and a few always-on
-// consumers (IngestPipeline's apply-latency histogram, the measurement
-// runner's telemetry toggles) record through them directly, gated by
-// their own runtime flags rather than the latch.
+// percentile math and the exposition format, and an always-on consumer
+// (IngestPipeline's apply-latency histogram) records through them
+// directly, gated by its own runtime flag rather than the latch.
 //
 // Threading: Counter / Gauge / LatencyHistogram are lock-free — relaxed
 // atomics on the record path, CAS-max for maxima — and safe to record

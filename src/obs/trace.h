@@ -149,9 +149,9 @@ void traceInstant(const char* name, const char* cat = "exthash") noexcept;
 
 // Library instrumentation sites: gated on the telemetry latch
 // (obs::enabled()) like the metric macros, so a session started with the
-// latch off records only the spans its owner emits directly. Benches and
-// the runner use the TraceSpan class directly for their top-level phase
-// spans, which record whenever a session is current.
+// latch off records only the spans its owner emits directly. Benches use
+// the TraceSpan class directly for their top-level phase spans, which
+// record whenever a session is current.
 #define EXTHASH_OBS_SPAN(var, name_literal, cat_literal)      \
   std::optional<::exthash::obs::TraceSpan> var(std::nullopt); \
   if (::exthash::obs::enabled()) (var).emplace(name_literal, cat_literal)

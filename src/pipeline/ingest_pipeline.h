@@ -108,9 +108,9 @@ struct PipelineConfig {
   /// split made explicit. The budget must outlive the pipeline.
   extmem::MemoryBudget* budget = nullptr;
   /// Record per-window applyBatch wall latency into applyLatency(). Its
-  /// own flag (not the telemetry latch) because the measurement runner
-  /// reports p99 apply latency without telemetry; costs two steady_clock
-  /// reads per applied window when on.
+  /// own flag (not the telemetry latch) because benches report p99 apply
+  /// latency without telemetry; costs two steady_clock reads per applied
+  /// window when on.
   bool record_apply_latency = false;
   /// Ack-after-durable mode (see durability/): when set, every sealed
   /// window is appended to this write-ahead log — blocking until the

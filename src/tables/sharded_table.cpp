@@ -374,8 +374,6 @@ extmem::IoStats ShardedTable::ioStats() const {
       total.cache_hits += shard.cache->hits();
       total.cache_writebacks += shard.cache->writebacks();
       total.cache_ghost_hits += shard.cache->ghostHits();
-      total.cache_adaptive_target += shard.cache->adaptiveTarget();
-      total.cache_frames_current += shard.cache->capacityBlocks();
     }
   }
   return total;

@@ -95,9 +95,8 @@ struct ShardedTableConfig {
   extmem::BlockCache::WritePolicy cache_policy =
       extmem::BlockCache::WritePolicy::kWriteThrough;
   /// Replacement policy for the auto-attached per-shard caches (every
-  /// shard runs the same one). ioStats() aggregates ghost hits and sums
-  /// the shards' adaptive targets (cache_adaptive_target — divide by
-  /// shardCount() for a mean p).
+  /// shard runs the same one). ioStats() aggregates their ghost hits;
+  /// shardCache(i)->adaptiveTarget() reads a shard's adaptive target.
   extmem::ReplacementKind cache_replacement = extmem::ReplacementKind::kLru;
   /// Storage backend for the private per-shard devices (default: memory;
   /// a file-backed choice gives every shard its own backing file, so a
@@ -148,8 +147,7 @@ class ShardedTable final : public ExternalHashTable {
       std::uint64_t key) const override;
   std::string debugString() const override;
   /// Aggregates per-shard device counters AND per-shard cache telemetry
-  /// (cache_hits / cache_writebacks / cache_ghost_hits, plus the summed
-  /// adaptive targets as cache_adaptive_target).
+  /// (cache_hits / cache_writebacks / cache_ghost_hits).
   extmem::IoStats ioStats() const override;
   /// Flush barrier across every auto-attached shard cache. The façade
   /// must be quiescent (no batch in flight on the shard pool).

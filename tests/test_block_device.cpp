@@ -184,7 +184,7 @@ TEST(BlockDevice, NestedAccessesSeeTheirOwnBlocksOnFiles) {
 // the watermark does not move, an image still captures, and the next
 // allocation after the fault clears starts where the failed one would.
 TEST(BlockDevice, FailedAllocationLeavesTheIdSpaceUnchanged) {
-  FaultyFileOps shim(/*seed=*/5);
+  FaultyFileOps shim;
   StorageOptions storage = onFiles();
   storage.file_ops = &shim;
   BlockDevice dev(8, storage);

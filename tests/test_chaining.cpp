@@ -207,7 +207,7 @@ TEST(Chaining, DestroyReleasesAllBlocks) {
   // overflowBlocks() blocks are freed, so a table without overflow reads
   // nothing, and one whose only chain hangs off bucket 0 reads just that
   // chain.
-  extmem::FaultyFileOps shim(/*seed=*/1);
+  extmem::FaultyFileOps shim;
   extmem::StorageOptions storage = exthash::testing::testStorageOptions();
   storage.backend = extmem::StorageOptions::Backend::kFile;
   storage.file_ops = &shim;

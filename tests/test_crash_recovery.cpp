@@ -430,7 +430,7 @@ TEST(CrashRecoveryFileBacked, CleanShutdownRecoversEverythingOnFiles) {
 // synced prefix, and recovery from the surviving file bytes must
 // reproduce it bit-exactly against the AckLedger oracle.
 void runPowerCutEpisode(TableKind kind, std::uint64_t seed) {
-  FaultyFileOps shim(seed);  // declared first: outlives every device
+  FaultyFileOps shim;  // declared first: outlives every device
   shim.enableWriteBuffering();
   StorageOptions durable = fileStorage();
   durable.file_ops = &shim;
@@ -542,7 +542,7 @@ TEST(CrashRecoveryFileBacked, SyscallPowerCutAgainstAckLedgerOracle) {
 TEST(CrashRecoveryFileBacked, FrozenTablesTearDownWithThePowerStillOff) {
   for (const TableKind kind : tables::kAllTableKinds) {
     SCOPED_TRACE(tableKindName(kind));
-    FaultyFileOps shim(/*seed=*/3);
+    FaultyFileOps shim;
     StorageOptions storage = fileStorage();
     storage.file_ops = &shim;
     testing::TestRig rig(8);

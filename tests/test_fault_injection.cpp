@@ -232,7 +232,7 @@ TEST(DeviceRetry, ProbabilisticFaultsAreAbsorbedUnderHeavyTraffic) {
 // errors draw on the same RetryPolicy::max_attempts, and an attempt the
 // policy faults never reaches a syscall.
 TEST(DeviceRetry, InjectedAndSyscallFaultsShareOneAttemptBudget) {
-  FaultyFileOps shim(/*seed=*/3);
+  FaultyFileOps shim;
   StorageOptions storage = testing::testStorageOptions();
   storage.backend = StorageOptions::Backend::kFile;
   storage.file_ops = &shim;

@@ -203,7 +203,7 @@ TEST(FileStorage, ResidentMemoryStaysFlatAsBlocksAreWritten) {
 // ---------------------------------------------------------------------------
 
 TEST(FileStorage, PermanentErrnoSurfacesAsTypedError) {
-  FaultyFileOps shim(/*seed=*/1);
+  FaultyFileOps shim;
   BlockDevice device(kWords, shimOptions(shim));
   const BlockId id = device.allocate();
   fillBlock(device, id, 0x01);
@@ -232,7 +232,7 @@ TEST(FileStorage, PermanentErrnoSurfacesAsTypedError) {
 }
 
 TEST(FileStorage, TransientErrnoIsRetriedToSuccess) {
-  FaultyFileOps shim(/*seed=*/2);
+  FaultyFileOps shim;
   BlockDevice device(kWords, shimOptions(shim));
   const BlockId id = device.allocate();
 
@@ -246,7 +246,7 @@ TEST(FileStorage, TransientErrnoIsRetriedToSuccess) {
 }
 
 TEST(FileStorage, TransientScheduleExhaustsIntoTransientError) {
-  FaultyFileOps shim(/*seed=*/3);
+  FaultyFileOps shim;
   BlockDevice device(kWords, shimOptions(shim));
   const BlockId id = device.allocate();
 
@@ -266,7 +266,7 @@ TEST(FileStorage, TransientScheduleExhaustsIntoTransientError) {
 }
 
 TEST(FileStorage, EintrStormsAbsorbedBelowTheLadder) {
-  FaultyFileOps shim(/*seed=*/4);
+  FaultyFileOps shim;
   BlockDevice device(kWords, shimOptions(shim));
   const BlockId id = device.allocate();
 
@@ -288,7 +288,7 @@ TEST(FileStorage, EintrStormsAbsorbedBelowTheLadder) {
 }
 
 TEST(FileStorage, ShortTransfersResume) {
-  FaultyFileOps shim(/*seed=*/5);
+  FaultyFileOps shim;
   BlockDevice device(kWords, shimOptions(shim));
   const BlockId id = device.allocate();
 
@@ -307,7 +307,7 @@ TEST(FileStorage, ShortTransfersResume) {
 // ---------------------------------------------------------------------------
 
 TEST(FileStorage, SyncCountsBarriers) {
-  FaultyFileOps shim(/*seed=*/6);
+  FaultyFileOps shim;
   BlockDevice device(kWords, shimOptions(shim));
   const std::uint64_t before = shim.count(FileSyscall::kFsync);
   EXPECT_EQ(device.stats().fsyncs, 0u);
@@ -320,7 +320,7 @@ TEST(FileStorage, SyncCountsBarriers) {
 }
 
 TEST(FileStorage, FailedSyncIsNeverTransient) {
-  FaultyFileOps shim(/*seed=*/7);
+  FaultyFileOps shim;
   BlockDevice device(kWords, shimOptions(shim));
   // Even a "retryable" errno on fsync must surface permanent: the kernel
   // may already have dropped the dirty pages, so re-running the barrier
@@ -345,7 +345,7 @@ std::size_t openFdCount() {
 // A constructor that fails its parent-directory fsync gives back all it
 // took: the fd is closed and the file it created is gone.
 TEST(FileStorage, FailedDirectorySyncReleasesTheNewFile) {
-  FaultyFileOps shim(/*seed=*/9);
+  FaultyFileOps shim;
   const std::string dir = fileOptions().directory;
   const std::filesystem::path base =
       dir.empty() ? std::filesystem::temp_directory_path()
@@ -366,7 +366,7 @@ TEST(FileStorage, FailedDirectorySyncReleasesTheNewFile) {
 // A power cut at the parent-directory fsync leaves the constructor as
 // DeviceCrashed, like every other syscall site, with the same cleanup.
 TEST(FileStorage, PowerCutDuringConstructionThrowsDeviceCrashed) {
-  FaultyFileOps shim(/*seed=*/9);
+  FaultyFileOps shim;
   const std::string dir = fileOptions().directory;
   const std::filesystem::path base =
       dir.empty() ? std::filesystem::temp_directory_path()
@@ -391,7 +391,7 @@ TEST(FileStorage, PowerCutDuringConstructionThrowsDeviceCrashed) {
 // ---------------------------------------------------------------------------
 
 TEST(FileStorage, PowerCutDropsExactlyTheUnsyncedBytes) {
-  FaultyFileOps shim(/*seed=*/8);
+  FaultyFileOps shim;
   shim.enableWriteBuffering();  // the page-cache model
   BlockDevice device(kWords, shimOptions(shim));
   const BlockId synced = device.allocate();
@@ -417,7 +417,7 @@ TEST(FileStorage, PowerCutDropsExactlyTheUnsyncedBytes) {
 }
 
 TEST(FileStorage, PowerCutMidWriteKeepsOnlyTheTornPrefix) {
-  FaultyFileOps shim(/*seed=*/9);
+  FaultyFileOps shim;
   shim.enableWriteBuffering();
   BlockDevice device(kWords, shimOptions(shim));
   const BlockId id = device.allocate();
@@ -456,7 +456,7 @@ using tables::Op;
 TEST(WalFileTornTail, RandomizedPowerCutsNeverLoseAckedRecords) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
-    FaultyFileOps shim(seed);
+    FaultyFileOps shim;
     shim.enableWriteBuffering();
     BlockDevice device(kWords, shimOptions(shim));
     WalWriter wal(device);
@@ -510,7 +510,7 @@ TEST(WalFileTornTail, DeterministicMidWordTearTruncatesCleanly) {
   // No write buffering here: the torn pwrite's prefix goes straight to
   // the file and the syscall reports EIO — a sector torn mid-transfer,
   // not a power loss. The writer poisons; the reader must truncate.
-  FaultyFileOps shim(/*seed=*/42);
+  FaultyFileOps shim;
   BlockDevice device(kWords, shimOptions(shim));
   WalWriter wal(device);
 

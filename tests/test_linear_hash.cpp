@@ -131,7 +131,7 @@ TEST(LinearHashing, MemoryFootprintIsLogarithmic) {
 // the teardown walk stops at the first IoError instead of throwing out of
 // the destructor, and the segment extents are freed anyway.
 TEST(LinearHashing, DestructionCompletesWhenReadsFail) {
-  extmem::FaultyFileOps shim(/*seed=*/11);
+  extmem::FaultyFileOps shim;
   extmem::StorageOptions storage = testing::testStorageOptions();
   storage.backend = extmem::StorageOptions::Backend::kFile;
   storage.file_ops = &shim;

@@ -1,9 +1,10 @@
 // MemoryArbiter behavior: signal-driven movement between the cache and
 // staging sides, per-side floors with a conserved total, heat-skewed
-// multi-cache splits, and the runner/pipeline integration (including the
-// TSAN-exercised sharded flush-vs-resize serialization).
+// multi-cache splits, and the pipeline integration (the TSAN-exercised
+// sharded flush-vs-resize serialization).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "tables/factory.h"
 #include "tables/sharded_table.h"
 #include "workload/keygen.h"
-#include "workload/runner.h"
 
 namespace exthash::extmem {
 namespace {
@@ -192,69 +192,8 @@ TEST(MemoryArbiter, HoldsStillWithoutSignals) {
 }
 
 // ---------------------------------------------------------------------------
-// Runner integration (MeasurementConfig::arbiter)
+// Pipeline integration
 // ---------------------------------------------------------------------------
-
-workload::MeasurementConfig arbiterRunnerConfig(std::size_t n) {
-  workload::MeasurementConfig mc;
-  mc.n = n;
-  mc.queries_per_checkpoint = 64;
-  mc.checkpoints = 4;
-  mc.seed = 3;
-  mc.batch_size = 256;
-  mc.cache_frames = 16;
-  mc.cache_write_back = true;
-  mc.cache_replacement = ReplacementKind::kArc;
-  mc.arbiter = true;
-  mc.arbiter_interval = 512;
-  return mc;
-}
-
-TEST(RunnerArbiter, SynchronousRunPopulatesArbiterTelemetry) {
-  TestRig rig(16);
-  tables::GeneralConfig cfg;
-  cfg.expected_n = 4096;
-  cfg.target_load = 0.5;
-  auto table = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
-  workload::ZipfKeyStream keys(11, 2048, 0.99);
-  const auto m = workload::runMeasurement(*table, keys,arbiterRunnerConfig(4096));
-  EXPECT_EQ(m.n, 4096u);
-  EXPECT_GT(m.cache_frames_final, 0u);
-  EXPECT_EQ(m.staging_slots_final, 0u);  // no pipeline, no staging side
-  EXPECT_EQ(m.insert_io.cache_frames_current, m.cache_frames_final);
-  EXPECT_EQ(m.insert_io.arbiter_moves, m.arbiter_moves);
-  EXPECT_GT(m.tq_final, 0.0);
-}
-
-TEST(RunnerArbiter, PipelinedRunArbitratesStagingAgainstCache) {
-  TestRig rig(16);
-  tables::GeneralConfig cfg;
-  cfg.expected_n = 4096;
-  cfg.target_load = 0.5;
-  auto table = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
-  workload::ZipfKeyStream keys(13, 2048, 0.99);
-  auto mc = arbiterRunnerConfig(4096);
-  mc.pipelined = true;
-  mc.pipeline_depth = 2;
-  const auto m = workload::runMeasurement(*table, keys,mc);
-  EXPECT_GT(m.cache_frames_final, 0u);
-  EXPECT_GT(m.staging_slots_final, 0u);
-  EXPECT_EQ(m.insert_io.staging_slots_current, m.staging_slots_final);
-  // The conserved total: final cache frames + staging frame-equivalents
-  // never exceed what the run started with (16 + the initial window).
-  EXPECT_GT(m.tq_final, 0.0);
-}
-
-TEST(RunnerArbiter, RequiresACache) {
-  TestRig rig(16);
-  tables::GeneralConfig cfg;
-  cfg.expected_n = 512;
-  auto table = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
-  workload::DistinctKeyStream keys(5);
-  auto mc = arbiterRunnerConfig(512);
-  mc.cache_frames = 0;
-  EXPECT_THROW(workload::runMeasurement(*table, keys, mc), CheckFailure);
-}
 
 // The TSAN-exercised case (matches the CI sanitizer filter): per-shard
 // cache resizes ride the pipeline's maintenance hook while drains flush
@@ -274,13 +213,38 @@ TEST(RunnerArbiter, ShardedPipelinedArbiterResizesRaceFlushSafely) {
   auto* sharded = dynamic_cast<tables::ShardedTable*>(table.get());
   ASSERT_NE(sharded, nullptr);
 
+  pipeline::PipelineConfig pc;
+  pc.batch_capacity = 256;
+  pc.max_pending_batches = 2;
+  pc.budget = rig.memory.get();
+  // Declared before the pipeline so it outlives every maintenance task.
+  ArbiterConfig ac;
+  ac.slots_per_frame = std::max<std::size_t>(
+      1, rig.device->wordsPerBlock() / (pipeline::kStagingOpWords * 3));
+  MemoryArbiter arbiter(ac);
+  sharded->registerCaches(arbiter);
+  ASSERT_GT(arbiter.cacheCount(), 0u);
+  pipeline::IngestPipeline pipe(*table, pc);
+  arbiter.setStaging(
+      [&pipe](std::size_t slots) { pipe.setWindowCapacity(slots); },
+      [&pipe] {
+        const auto st = pipe.stats();
+        return StagingSignals{st.ops_coalesced, st.submit_waits};
+      },
+      pc.batch_capacity);
+
   workload::ZipfKeyStream keys(17, 2048, 0.99);
-  auto mc = arbiterRunnerConfig(4096);
-  mc.cache_frames = 0;  // the façade's own per-shard caches arbitrate
-  mc.pipelined = true;
-  mc.pipeline_depth = 2;
-  mc.arbiter_interval = 256;  // frequent maintenance vs checkpoint drains
-  const auto m = workload::runMeasurement(*table, keys,mc);
+  std::vector<std::uint64_t> inserted;
+  for (std::size_t i = 1; i <= 4096; ++i) {
+    const std::uint64_t key = keys.next();
+    inserted.push_back(key);
+    pipe.insert(key, key ^ 0x5bd1e995);
+    if (i % 256 == 0) {
+      pipe.submitMaintenance([&arbiter] { arbiter.rebalance(); });
+    }
+    if (i % 1024 == 0) pipe.drain();  // drains, then flushes the caches
+  }
+  pipe.drain();
 
   std::size_t shard_frames = 0;
   for (std::size_t s = 0; s < sharded->shardCount(); ++s) {
@@ -288,9 +252,13 @@ TEST(RunnerArbiter, ShardedPipelinedArbiterResizesRaceFlushSafely) {
       shard_frames += sharded->shardCache(s)->capacityBlocks();
     }
   }
-  EXPECT_EQ(shard_frames, m.cache_frames_final);
-  EXPECT_EQ(table->ioStats().cache_frames_current, m.cache_frames_final);
-  EXPECT_GT(m.tq_final, 0.0);
+  EXPECT_GT(arbiter.rebalances(), 0u);
+  EXPECT_EQ(shard_frames, arbiter.cacheFrames());
+  for (const std::uint64_t key : inserted) {
+    const auto hit = table->lookup(key);
+    ASSERT_TRUE(hit.has_value()) << key;
+    EXPECT_EQ(*hit, key ^ 0x5bd1e995);
+  }
 }
 
 }  // namespace

@@ -3,21 +3,23 @@
 // the Prometheus / CSV sinks, Chrome-trace JSON round-trips through the
 // repo's own validator, concurrent recording (the TSAN-exercised case),
 // runtime-latch gating of the instrumentation macros, the cache-bypass
-// attribution counter, and the runner's telemetry toggles end-to-end.
+// attribution counter, and the pipeline + cache + arbiter stack's metric
+// families and apply-latency tail end-to-end.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "extmem/block_cache.h"
+#include "extmem/memory_arbiter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_check.h"
+#include "pipeline/ingest_pipeline.h"
 #include "table_test_util.h"
 #include "tables/factory.h"
-#include "workload/runner.h"
+#include "workload/keygen.h"
 
 namespace exthash::obs {
 namespace {
@@ -315,35 +317,51 @@ TEST(TelemetryGating, RuntimeLatchGatesEverySite) {
 // Instrumented components end-to-end
 // ---------------------------------------------------------------------------
 
-workload::MeasurementConfig telemetryRunConfig(std::size_t n) {
-  workload::MeasurementConfig mc;
-  mc.n = n;
-  mc.queries_per_checkpoint = 32;
-  mc.checkpoints = 3;
-  mc.seed = 9;
-  mc.batch_size = 256;
-  mc.pipelined = true;
-  mc.pipeline_depth = 2;
-  mc.cache_frames = 16;
-  mc.cache_write_back = true;
-  mc.cache_replacement = extmem::ReplacementKind::kArc;
-  mc.arbiter = true;
-  mc.arbiter_interval = 512;
-  return mc;
-}
-
 TEST(TelemetryEndToEnd, MetricFamiliesFromAnInstrumentedRun) {
   const bool was_enabled = enabled();
   setEnabled(true);
   {
+    // The full stack: pipeline → table → ARC write-back cache → device,
+    // with an arbiter trading cache frames against staging slots. The
+    // cache is declared first so the table's teardown can still flush it.
     TestRig rig(16);
+    extmem::BlockCache cache(*rig.device, *rig.memory, 16,
+                             extmem::BlockCache::WritePolicy::kWriteBack,
+                             extmem::ReplacementKind::kArc);
     tables::GeneralConfig cfg;
     cfg.expected_n = 4096;
     cfg.target_load = 0.5;
     auto table =
         makeTable(tables::TableKind::kChaining, rig.context(), cfg);
+    table->attachCache(&cache);
+    extmem::MemoryArbiter arbiter;
+    arbiter.addCache(&cache);
+    pipeline::PipelineConfig pc;
+    pc.batch_capacity = 256;
+    pc.max_pending_batches = 2;
+    pc.budget = rig.memory.get();
+    pipeline::IngestPipeline pipe(*table, pc);
+    arbiter.setStaging(
+        [&pipe](std::size_t slots) { pipe.setWindowCapacity(slots); },
+        [&pipe] {
+          const auto st = pipe.stats();
+          return extmem::StagingSignals{st.ops_coalesced, st.submit_waits};
+        },
+        pc.batch_capacity);
     workload::ZipfKeyStream keys(17, 2048, 0.99);
-    workload::runMeasurement(*table, keys, telemetryRunConfig(4096));
+    std::vector<std::uint64_t> inserted;
+    for (std::size_t i = 1; i <= 4096; ++i) {
+      inserted.push_back(keys.next());
+      pipe.insert(inserted.back(), inserted.back() ^ 0x5bd1e995);
+      if (i % 512 == 0) {
+        pipe.submitMaintenance([&arbiter] { arbiter.rebalance(); });
+      }
+    }
+    pipe.drain();
+    // Skewed reads through the worker: repeated hot keys hit the cache.
+    for (std::size_t i = 0; i < 256; ++i) {
+      EXPECT_TRUE(pipe.submitLookup(inserted[i]).get().has_value());
+    }
   }
   setEnabled(was_enabled);
 
@@ -379,63 +397,33 @@ TEST(TelemetryEndToEnd, BufferedMergeReadsAreAttributedAsBypasses) {
   EXPECT_LE(io.cache_bypass_reads, io.reads);
 }
 
-TEST(TelemetryEndToEnd, RunnerRecordsApplyTailAndWritesAParseableTrace) {
-  const std::string trace_path =
-      ::testing::TempDir() + "/exthash_runner_trace.json";
-  workload::MeasurementConfig mc;
-  mc.n = 2048;
-  mc.queries_per_checkpoint = 16;
-  mc.checkpoints = 2;
-  mc.seed = 21;
-  mc.batch_size = 128;
-  mc.record_apply_latency = true;
-  mc.trace_file = trace_path;
-
-  TestRig rig(16);
-  tables::GeneralConfig cfg;
-  cfg.expected_n = mc.n;
-  cfg.target_load = 0.5;
-  auto table = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
-  workload::DistinctKeyStream keys(23);
-  const auto m = workload::runMeasurement(*table, keys, mc);
-
-  EXPECT_GT(m.apply_batches, 0u);
-  EXPECT_GT(m.apply_p99_us, 0.0);
-  EXPECT_GE(m.apply_p99_us, m.apply_p50_us);
-  EXPECT_GE(m.apply_max_us, m.apply_p99_us / 1.25 - 1e-9);
-
-  std::ifstream in(trace_path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const TraceCheckResult result = checkTraceJson(buf.str());
-  ASSERT_TRUE(result) << result.error;
-  EXPECT_GE(result.events, 2u);  // ingest span + checkpoint samples
-  std::remove(trace_path.c_str());
-}
-
-// Pipelined runs record the apply tail on the worker thread; the readout
+// The pipeline records the apply tail on the worker thread; the readout
 // happens after drain. (Also the TSAN angle for the always-on histogram.)
 TEST(TelemetryEndToEnd, PipelinedRunnerRecordsApplyTail) {
-  workload::MeasurementConfig mc;
-  mc.n = 2048;
-  mc.queries_per_checkpoint = 16;
-  mc.checkpoints = 2;
-  mc.seed = 27;
-  mc.batch_size = 128;
-  mc.pipelined = true;
-  mc.pipeline_depth = 2;
-  mc.record_apply_latency = true;
-
   TestRig rig(16);
   tables::GeneralConfig cfg;
-  cfg.expected_n = mc.n;
+  cfg.expected_n = 2048;
   cfg.target_load = 0.5;
   auto table = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
+  pipeline::PipelineConfig pc;
+  pc.batch_capacity = 128;
+  pc.max_pending_batches = 2;
+  pc.record_apply_latency = true;
+  pipeline::IngestPipeline pipe(*table, pc);
   workload::DistinctKeyStream keys(29);
-  const auto m = workload::runMeasurement(*table, keys, mc);
-  EXPECT_GT(m.apply_batches, 0u);
-  EXPECT_GT(m.apply_p99_us, 0.0);
+  for (std::size_t i = 0; i < 2048; ++i) {
+    const std::uint64_t key = keys.next();
+    pipe.insert(key, key ^ 0x5bd1e995);
+  }
+  pipe.drain();
+
+  const LatencyHistogram& hist = pipe.applyLatency();
+  EXPECT_EQ(hist.count(), 2048u / 128u);  // distinct keys: full windows
+  const double p50 = static_cast<double>(hist.valueAtQuantile(0.5));
+  const double p99 = static_cast<double>(hist.valueAtQuantile(0.99));
+  EXPECT_GT(p99, 0.0);
+  EXPECT_GE(p99, p50);
+  EXPECT_GE(static_cast<double>(hist.max()), p99 / 1.25 - 1e-9);
 }
 
 }  // namespace

@@ -191,59 +191,5 @@ TEST(Runner, PaperProtocolIsBitStable) {
   }
 }
 
-TEST(Runner, BatchedQueriesSampleBothSuccessAndMisses) {
-  TestRig rig(16);
-  ChainingHashTable table(rig.context(), {32, BucketIndexer{}});
-  DistinctKeyStream keys(23);
-  MeasurementConfig cfg;
-  cfg.n = 256;
-  cfg.queries_per_checkpoint = 64;
-  cfg.checkpoints = 2;
-  cfg.batch_size = 32;
-  cfg.batched_queries = true;
-  cfg.measure_unsuccessful = true;
-  const auto m = runMeasurement(table, keys, cfg);
-  // Grouped sampling shares block reads between same-bucket keys, so the
-  // averages can drop below 1 but must stay positive and sane.
-  EXPECT_GT(m.tq_mean, 0.0);
-  EXPECT_LE(m.tq_mean, 1.5);
-  EXPECT_GT(m.tq_unsuccessful, 0.0);
-  EXPECT_LE(m.tq_unsuccessful, 1.5);
-}
-
-TEST(Runner, PipelinedModeMatchesSerialCountsAndContents) {
-  // Same stream measured serially and through the pipeline: identical
-  // final tables and identical counted insert I/O (single-window apply
-  // order matches the batched protocol); the pipelined run reports its
-  // own tu from quiescent drain points.
-  MeasurementConfig cfg;
-  cfg.n = 1024;
-  cfg.queries_per_checkpoint = 64;
-  cfg.checkpoints = 3;
-  cfg.batch_size = 128;
-  cfg.seed = 7;
-
-  TestRig serial_rig(32);
-  ChainingHashTable serial_table(serial_rig.context(), {64, BucketIndexer{}});
-  DistinctKeyStream serial_keys(29);
-  const auto serial = runMeasurement(serial_table, serial_keys, cfg);
-
-  cfg.pipelined = true;
-  cfg.pipeline_depth = 2;
-  TestRig piped_rig(32);
-  ChainingHashTable piped_table(piped_rig.context(), {64, BucketIndexer{}});
-  DistinctKeyStream piped_keys(29);
-  const auto piped = runMeasurement(piped_table, piped_keys, cfg);
-
-  EXPECT_EQ(piped_table.size(), serial_table.size());
-  EXPECT_EQ(piped.n, serial.n);
-  // Distinct keys: nothing coalesces, and the same batches reach the same
-  // table state, so counted insert I/O agrees exactly.
-  EXPECT_EQ(piped.pipeline_coalesced, 0u);
-  EXPECT_EQ(piped.insert_io.cost(), serial.insert_io.cost());
-  EXPECT_GT(piped.tu, 0.0);
-  EXPECT_GE(piped.tq_mean, 1.0);
-}
-
 }  // namespace
 }  // namespace exthash::workload

@@ -457,7 +457,6 @@ TEST(WriteBackCacheRunner, MeasurementFlushesAtDrainPoints) {
   mc.n = 512;
   mc.queries_per_checkpoint = 32;
   mc.checkpoints = 4;
-  mc.batch_size = 64;
   mc.seed = 9;
   workload::DistinctKeyStream keys(3);
   const auto m = workload::runMeasurement(*table, keys, mc);
