@@ -5,8 +5,9 @@
 // staging window in the background: accumulation (and last-write-wins
 // coalescing of repeated keys) overlaps the apply of the previous window,
 // and point lookups return std::futures that resolve from memory when the
-// key has a pending operation (read-your-writes) or from a grouped
-// lookupBatch on the worker otherwise.
+// key has a pending operation (read-your-writes), and from the table
+// otherwise: on the caller's thread when the worker owes nothing, else in
+// a grouped lookupBatch on the worker.
 //
 //   $ ./pipelined_ingest [--n=1000000] [--b=256] [--window=65536]
 //                        [--depth=2] [--shards=8]
@@ -66,12 +67,12 @@ int main(int argc, char** argv) {
   pipe.insert(424242, 1);
   pipe.insert(424242, 7);  // overwrites in the same window: one table op
   auto hot = pipe.submitLookup(424242);
-  auto cold = pipe.submitLookup(5);  // probably absent: answered by worker
+  auto cold = pipe.submitLookup(5);  // probably absent: the table answers
   std::cout << "submitLookup(424242) -> " << hot.get().value_or(0)
             << " (from the staging window)\n"
             << "submitLookup(5)      -> "
             << (cold.get().has_value() ? "hit" : "miss")
-            << " (batched through the worker)\n";
+            << " (answered by the table)\n";
 
   pipe.drain();
   const auto t1 = std::chrono::steady_clock::now();

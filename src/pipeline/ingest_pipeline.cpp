@@ -254,9 +254,31 @@ std::future<std::optional<std::uint64_t>> IngestPipeline::submitLookup(
   }
 
   // No pending op on this key: the table's answer is current no matter
-  // how far the worker has progressed; batch it with its neighbours.
-  // Progress is guaranteed without flush(): if the worker is idle the
-  // batch dispatches now, otherwise the task in flight dispatches it on
+  // how far the worker has progressed.
+  if (inflight_.empty() && pending_lookup_tasks_ == 0 &&
+      pending_maintenance_ == 0) {
+    // The worker owes nothing. Every worker task is enqueued under mutex_
+    // and drops its counter only after it is done with the table, so
+    // while the lock is held nothing else can touch the table: answer on
+    // this thread (drain()'s flushCache relies on the same argument).
+    std::promise<std::optional<std::uint64_t>> answer;
+    std::optional<std::uint64_t> value;
+    try {
+      table_.lookupBatch(std::span(&key, 1), std::span(&value, 1));
+      ++stats_.lookups_from_table;
+      answer.set_value(value);
+    } catch (...) {
+      // Fail-stop, exactly as a worker lookup task latches it.
+      error_ = std::current_exception();
+      ++stats_.lookups_failed;
+      answer.set_exception(error_);
+    }
+    return answer.get_future();
+  }
+
+  // Batch it with its neighbours. Progress is guaranteed without flush():
+  // if only maintenance is queued the batch dispatches now, behind it;
+  // otherwise the window or lookup task in flight dispatches it on
   // completion (so lookups group up exactly while there is something to
   // group behind).
   pending_lookups_.push_back(PendingLookup{key, {}});
@@ -363,15 +385,16 @@ void IngestPipeline::drain() {
       }
     }
     throwIfFailedLocked();
-  }
-  // Barrier audit: everything is quiescent and flushed, so both the
-  // pipeline's accounting invariants and the table's structural layout
-  // are exact here. Off unless audit mode is on (compile option or env).
-  if (audit::enabled()) {
-    AuditReport report;
-    audit(report);
-    table_.validateLayout(report);
-    report.throwIfFailed();
+    // Barrier audit: everything is quiescent and flushed, so both the
+    // pipeline's accounting invariants and the table's structural layout
+    // are exact here. Still under the lock, so another producer's inline
+    // lookup cannot walk the table meanwhile. Off unless audit mode is on.
+    if (audit::enabled()) {
+      AuditReport report;
+      auditLocked(report);
+      table_.validateLayout(report);
+      report.throwIfFailed();
+    }
   }
 }
 
@@ -419,8 +442,12 @@ PipelineStats IngestPipeline::stats() const {
 }
 
 void IngestPipeline::audit(AuditReport& report) const {
-  const char* kComponent = "pipeline";
   util::MutexLock lock(mutex_);
+  auditLocked(report);
+}
+
+void IngestPipeline::auditLocked(AuditReport& report) const {
+  const char* kComponent = "pipeline";
 
   // Staging window ↔ key index agreement: every index entry points at an
   // in-range op carrying that key; under coalescing the index is exactly

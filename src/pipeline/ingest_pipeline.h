@@ -16,15 +16,17 @@
 // Consistency contract (read-your-writes): a submitLookup observes every
 // operation submitted before it on the same pipeline. Lookups whose key
 // has a not-yet-applied operation (staging or sealed-but-unapplied) are
-// answered from memory immediately; all other keys are answered by the
-// background worker through lookupBatch, ordered so no lookup can observe
-// an operation submitted after it.
+// answered from memory immediately. Every other key is answered from the
+// table through lookupBatch: on the caller's thread when the worker owes
+// nothing (no window in flight, no lookup or maintenance task queued),
+// otherwise by the background worker, ordered so no lookup can observe an
+// operation submitted after it.
 //
 // Caching: the wrapped table may have a BlockCache attached (any write
 // policy × any replacement policy — LRU / 2Q / ARC). The cache is touched
-// only by the background worker, like the table itself, and drain() is the
-// flush barrier that writes dirty frames out and makes ioStats() include
-// the deferred writes. Note the interaction the ABL-CACHE bench measures:
+// only where the table is (see Threading), and drain() is the flush
+// barrier that writes dirty frames out and makes ioStats() include the
+// deferred writes. Note the interaction the ABL-CACHE bench measures:
 // the grouped applyBatch the worker issues turns each window into a sorted
 // block sweep, which is exactly the access shape plain LRU handles worst —
 // pipelined ingest below full cache residency wants a scan-resistant
@@ -38,8 +40,8 @@
 //
 // Fail-stop under errors: the first background error (a worker-side
 // CheckFailure, or an IoError that escaped the device's retry budget —
-// see extmem/fault.h) latches the pipeline into an explicit fail-stop
-// state. From then on submit()/submitLookup()/flush()/drain() rethrow the
+// see extmem/fault.h), or an inline lookup's error, latches the pipeline
+// into an explicit fail-stop state. From then on submit()/submitLookup()/flush()/drain() rethrow the
 // stored error instead of queueing work; window tasks still queued skip
 // the table entirely (their ops count as ops_discarded — the table may
 // hold a partially applied window and must not be driven further); queued
@@ -52,10 +54,14 @@
 // unsealed lookups with the stored error, and clears the latch.
 //
 // Threading: all public methods are safe to call from one producer thread
-// (the common case) or several (the internal mutex serializes them). The
-// wrapped table is touched ONLY by the single background worker between
-// construction and drain(), so tables need no internal locking. After
-// drain() returns the table is quiescent and may be inspected directly.
+// (the common case) or several (the internal mutex serializes them).
+// Between construction and drain() the wrapped table is touched by the
+// single background worker, or by a thread holding mutex_ while the worker
+// owes nothing: a submitLookup caller answering inline, and drain()'s
+// flush and audit barrier. Every worker task is enqueued under mutex_ and
+// leaves its counter only after it is done with the table, so these never
+// overlap and tables need no internal locking. After drain() returns the
+// table is quiescent and may be inspected directly.
 // The locking discipline is compiler-verified (-Wthread-safety, see
 // util/thread_annotations.h): mutex_ guards every mutable member, the
 // *Locked helpers require it held, and the public surface is annotated
@@ -158,10 +164,13 @@ class IngestPipeline {
   void erase(std::uint64_t key) { submit(tables::Op::eraseOp(key)); }
 
   /// Point lookup observing every previously submitted operation. Keys
-  /// with a pending operation resolve immediately from memory; the rest
-  /// resolve when the background worker answers them via lookupBatch —
-  /// dispatched at once if the worker is idle, or grouped behind the work
-  /// in flight otherwise, so every future resolves without flush().
+  /// with a pending operation resolve immediately from memory. The rest
+  /// are answered via lookupBatch: on this thread, returning a ready
+  /// future, when the worker owes nothing; otherwise by the worker —
+  /// dispatched at once behind queued maintenance, or grouped behind the
+  /// window or lookup task in flight — so every future resolves without
+  /// flush(). An inline table error latches fail-stop like a worker one
+  /// and reaches the caller through the future.
   std::future<std::optional<std::uint64_t>> submitLookup(std::uint64_t key)
       EXTHASH_EXCLUDES(mutex_);
 
@@ -263,6 +272,7 @@ class IngestPipeline {
   void sealBatchLocked(util::MutexLock& lock) EXTHASH_REQUIRES(mutex_);
   void sealLookupsLocked() EXTHASH_REQUIRES(mutex_);
   void throwIfFailedLocked() EXTHASH_REQUIRES(mutex_);
+  void auditLocked(AuditReport& report) const EXTHASH_REQUIRES(mutex_);
   /// Largest op count any staging structure still physically holds (the
   /// accumulating window or a sealed in-flight window).
   std::size_t residentEnvelopeLocked() const EXTHASH_REQUIRES(mutex_);

@@ -128,17 +128,6 @@ std::exception_ptr ShardedTable::runGuarded(
   }
 }
 
-namespace {
-
-/// Rethrow the lowest-indexed captured error after a fan-out completed.
-void rethrowFirst(const std::vector<std::exception_ptr>& errors) {
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-}
-
-}  // namespace
-
 bool ShardedTable::insert(std::uint64_t key, std::uint64_t value) {
   const std::size_t s = shardOf(key);
   bool result = false;
@@ -169,72 +158,103 @@ bool ShardedTable::erase(std::uint64_t key) {
   return result;
 }
 
+std::exception_ptr ShardedTable::runSlice(std::size_t s,
+                                          const char* counter_family,
+                                          std::size_t n,
+                                          const std::function<void()>& fn) {
+  const std::exception_ptr err = runGuarded(s, fn);
+  obsRecordShardBatch(counter_family, s, n, *shards_[s].table);
+  return err;
+}
+
+template <class Slice>
+void ShardedTable::fanOut(const char* counter_family,
+                          const std::vector<Slice>& per_shard,
+                          const std::function<void(std::size_t)>& work) {
+  // Only shards with work get a pool task. An idle shard is neither
+  // touched nor recorded (obsRecordShardBatch records nothing for 0 ops).
+  std::vector<std::size_t> busy;
+  for (std::size_t s = 0; s < per_shard.size(); ++s) {
+    if (!per_shard[s].empty()) busy.push_back(s);
+  }
+  // Distinct slots per shard task — no shared mutable state in the
+  // fan-out (the threading contract above).
+  std::vector<std::exception_ptr> batch_errors(busy.size());
+  pool_.parallelFor(0, busy.size(), [&](std::size_t i) {
+    const std::size_t s = busy[i];
+    batch_errors[i] = runSlice(s, counter_family, per_shard[s].size(),
+                               [&] { work(s); });
+  });
+  // busy is in shard order: rethrow the lowest-indexed shard's error.
+  for (const std::exception_ptr& error : batch_errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
 void ShardedTable::applyBatch(std::span<const Op> ops) {
-  if (shards_.size() == 1) {
-    const auto err =
-        runGuarded(0, [&] { shards_[0].table->applyBatch(ops); });
-    obsRecordShardBatch("exthash_shard_ops_total", 0, ops.size(),
-                        *shards_[0].table);
-    if (err) std::rethrow_exception(err);
+  if (ops.empty()) return;
+  // Route first. When every op lands on one shard (every one-key batch),
+  // that shard applies the caller's span on the caller's thread: no
+  // per-shard copy and no pool hand-off.
+  const std::size_t first = shardOf(ops.front().key);
+  if (std::all_of(ops.begin() + 1, ops.end(), [&](const Op& op) {
+        return shardOf(op.key) == first;
+      })) {
+    if (const auto err =
+            runSlice(first, "exthash_shard_ops_total", ops.size(),
+                     [&] { shards_[first].table->applyBatch(ops); })) {
+      std::rethrow_exception(err);
+    }
     return;
   }
   // Partition preserving arrival order: every op for one key routes to one
   // shard, so per-key order survives the shard-parallel dispatch.
   std::vector<std::vector<Op>> per_shard(shards_.size());
   for (const Op& op : ops) per_shard[shardOf(op.key)].push_back(op);
-  // Distinct slots per shard task — no shared mutable state in the
-  // fan-out (the threading contract above).
-  std::vector<std::exception_ptr> batch_errors(shards_.size());
-  pool_.parallelFor(0, shards_.size(), [&](std::size_t s) {
-    if (!per_shard[s].empty()) {
-      batch_errors[s] = runGuarded(
-          s, [&] { shards_[s].table->applyBatch(per_shard[s]); });
-    }
-    obsRecordShardBatch("exthash_shard_ops_total", s, per_shard[s].size(),
-                        *shards_[s].table);
+  // Every healthy shard has applied its slice before fanOut rethrows; the
+  // caller may catch the error and keep routing traffic — ops for the
+  // faulted shard fail fast, the rest keep serving.
+  fanOut("exthash_shard_ops_total", per_shard, [&](std::size_t s) {
+    shards_[s].table->applyBatch(per_shard[s]);
   });
-  // Every healthy shard has applied its slice by now; the error still
-  // surfaces to the caller (who may catch it and keep routing traffic —
-  // ops for the faulted shard fail fast, the rest keep serving).
-  rethrowFirst(batch_errors);
 }
 
 void ShardedTable::lookupBatch(std::span<const std::uint64_t> keys,
                                std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(keys.size() == out.size());
-  if (shards_.size() == 1) {
-    const auto err =
-        runGuarded(0, [&] { shards_[0].table->lookupBatch(keys, out); });
-    obsRecordShardBatch("exthash_shard_lookups_total", 0, keys.size(),
-                        *shards_[0].table);
-    if (err) std::rethrow_exception(err);
+  if (keys.empty()) return;
+  // Same routing as applyBatch: a one-shard batch looks up straight into
+  // the caller's spans on the caller's thread (so a shard that faults
+  // mid-call may leave part of `out` written).
+  const std::size_t first = shardOf(keys.front());
+  if (std::all_of(keys.begin() + 1, keys.end(), [&](std::uint64_t key) {
+        return shardOf(key) == first;
+      })) {
+    if (const auto err =
+            runSlice(first, "exthash_shard_lookups_total", keys.size(),
+                     [&] { shards_[first].table->lookupBatch(keys, out); })) {
+      std::rethrow_exception(err);
+    }
     return;
   }
   std::vector<std::vector<std::size_t>> per_shard(shards_.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
     per_shard[shardOf(keys[i])].push_back(i);
   }
-  std::vector<std::exception_ptr> batch_errors(shards_.size());
-  pool_.parallelFor(0, shards_.size(), [&](std::size_t s) {
-    const auto& indices = per_shard[s];
-    if (indices.empty()) return;
-    batch_errors[s] = runGuarded(s, [&] {
-      std::vector<std::uint64_t> sub_keys;
-      sub_keys.reserve(indices.size());
-      for (const std::size_t idx : indices) sub_keys.push_back(keys[idx]);
-      std::vector<std::optional<std::uint64_t>> sub_out(sub_keys.size());
-      shards_[s].table->lookupBatch(sub_keys, sub_out);
-      for (std::size_t k = 0; k < indices.size(); ++k) {
-        out[indices[k]] = sub_out[k];
-      }
-    });
-    obsRecordShardBatch("exthash_shard_lookups_total", s, indices.size(),
-                        *shards_[s].table);
-  });
-  // Healthy shards' results are filled in even when a shard faulted; the
-  // faulted shard's slots keep their input value (nullopt for a fresh
+  // Healthy shards' results are filled in even when a shard faulted; a
+  // latched shard's slots keep their input value (nullopt for a fresh
   // output span) and the error is rethrown for the caller to handle.
-  rethrowFirst(batch_errors);
+  fanOut("exthash_shard_lookups_total", per_shard, [&](std::size_t s) {
+    const auto& indices = per_shard[s];
+    std::vector<std::uint64_t> sub_keys;
+    sub_keys.reserve(indices.size());
+    for (const std::size_t idx : indices) sub_keys.push_back(keys[idx]);
+    std::vector<std::optional<std::uint64_t>> sub_out(sub_keys.size());
+    shards_[s].table->lookupBatch(sub_keys, sub_out);
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      out[indices[k]] = sub_out[k];
+    }
+  });
 }
 
 std::vector<ShardedTable::ShardError> ShardedTable::shardErrors() const {

@@ -29,11 +29,13 @@
 // guarantees as long as shard-local ids stay below 2^56 (checked).
 //
 // Threading: the façade is externally serialized like every table —
-// callers run one operation at a time. INTERNALLY a batch fans out via
-// ThreadPool::parallelFor, but each worker touches exactly one shard's
-// private device/budget/cache/table and no two workers share a shard, so
-// no façade-level mutex exists to annotate; the only lock in the fan-out
-// path is the pool's own annotated mutex (see util/thread_annotations.h).
+// callers run one operation at a time. A batch whose keys all route to one
+// shard (every one-key batch) runs on the caller's thread. Any other batch
+// fans out via ThreadPool::parallelFor to the shards that have work, and
+// each worker touches exactly one shard's private device/budget/cache/
+// table and no two workers share a shard, so no façade-level mutex exists
+// to annotate; the only lock in the fan-out path is the pool's own
+// annotated mutex (see util/thread_annotations.h).
 // Mutating shared façade state from inside a shard task would be a data
 // race — keep per-shard work confined to that shard's Shard struct
 // (the per-shard error latch below lives there for exactly this reason).
@@ -132,9 +134,11 @@ class ShardedTable final : public ExternalHashTable {
   std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Splits the batch per shard (op order preserved within a shard — and
-  /// all ops of one key land in one shard) and applies shard-parallel.
+  /// all ops of one key land in one shard) and applies shard-parallel on
+  /// the shards that have work; a one-shard batch applies on the caller's
+  /// thread.
   void applyBatch(std::span<const Op> ops) override;
-  /// Shard-parallel batched lookups.
+  /// Batched lookups, routed like applyBatch.
   void lookupBatch(std::span<const std::uint64_t> keys,
                    std::span<std::optional<std::uint64_t>> out) override;
   std::size_t size() const override;
@@ -240,6 +244,14 @@ class ShardedTable final : public ExternalHashTable {
   /// pass every error back for the caller to rethrow after the fan-out.
   std::exception_ptr runGuarded(std::size_t s,
                                 const std::function<void()>& fn);
+  /// runGuarded plus the shard's batch telemetry for a slice of `n` keys.
+  std::exception_ptr runSlice(std::size_t s, const char* counter_family,
+                              std::size_t n, const std::function<void()>& fn);
+  /// Run `work(s)` on the pool for every shard whose slice of `per_shard`
+  /// is non-empty, then rethrow the lowest-indexed shard's error.
+  template <class Slice>
+  void fanOut(const char* counter_family, const std::vector<Slice>& per_shard,
+              const std::function<void(std::size_t)>& work);
 
   ShardedTableConfig config_;
   std::vector<Shard> shards_;

@@ -483,5 +483,49 @@ TEST(ShardedTableTest, AggregatesIoAcrossPrivateDevices) {
   EXPECT_GE(sharded->shardCount(), 4u);
 }
 
+// A 1-shard façade routes every batch down the one-shard path (the
+// caller's spans, on the caller's thread). It must stay observationally
+// identical to a plain table of its inner kind, counted I/O included.
+TEST(ShardedTableTest, OneShardFacadeMatchesItsInnerTable) {
+  TestRig plain_rig(8), sharded_rig(8);
+  GeneralConfig cfg;
+  cfg.expected_n = 512;
+  cfg.target_load = 0.5;
+  cfg.shards = 1;
+  cfg.sharded_inner = TableKind::kChaining;
+  auto plain = makeTable(TableKind::kChaining, plain_rig.context(), cfg);
+  auto sharded = makeTable(TableKind::kSharded, sharded_rig.context(), cfg);
+
+  const auto keys = distinctKeys(300);
+  std::vector<std::optional<std::uint64_t>> plain_out(keys.size());
+  std::vector<std::optional<std::uint64_t>> sharded_out(keys.size());
+  std::size_t next = 0;
+  for (std::size_t round = 0; round < 12; ++round) {
+    // Batches of 1, 7 and 64 ops mixing fresh inserts, overwrites and
+    // erases, each followed by a full lookupBatch and a one-key lookup.
+    const std::size_t len = round % 3 == 0 ? 1 : (round % 3 == 1 ? 7 : 64);
+    std::vector<Op> ops;
+    for (std::size_t i = 0; i < len; ++i, ++next) {
+      const std::uint64_t key = keys[(next * 11) % keys.size()];
+      ops.push_back(next % 5 == 4 ? Op::eraseOp(key) : Op::insertOp(key, next));
+    }
+    plain->applyBatch(ops);
+    sharded->applyBatch(ops);
+    plain->lookupBatch(keys, plain_out);
+    sharded->lookupBatch(keys, sharded_out);
+    ASSERT_EQ(sharded_out, plain_out) << "round " << round;
+    const std::span<const std::uint64_t> one(&ops.back().key, 1);
+    plain->lookupBatch(one, std::span(plain_out).first(1));
+    sharded->lookupBatch(one, std::span(sharded_out).first(1));
+    ASSERT_EQ(sharded_out[0], plain_out[0]) << "round " << round;
+  }
+  EXPECT_EQ(sharded->size(), plain->size());
+  const auto plain_io = plain->ioStats();
+  const auto sharded_io = sharded->ioStats();
+  EXPECT_EQ(sharded_io.reads, plain_io.reads);
+  EXPECT_EQ(sharded_io.writes, plain_io.writes);
+  EXPECT_EQ(sharded_io.rmws, plain_io.rmws);
+}
+
 }  // namespace
 }  // namespace exthash::tables

@@ -34,6 +34,7 @@
 #include "extmem/memory_arbiter.h"
 #include "extmem/retry.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pipeline/ingest_pipeline.h"
 #include "table_test_util.h"
@@ -555,6 +556,104 @@ TEST(ShardIsolation, FaultedShardLatchesWhileHealthyShardsServe) {
             std::optional<std::uint64_t>(more[0].value));
 }
 
+// A one-key batch takes the one-shard path (the caller's spans, on the
+// caller's thread) and keeps the isolation contract: a latched shard fails
+// fast with its stored error without being touched, and a healthy shard
+// serves, with only its own telemetry series moving.
+TEST(ShardIsolation, OneKeyBatchesKeepIsolationOnTheOneShardPath) {
+  TestRig rig(8);
+  FaultPolicy policy(41);
+  tables::ShardedTableConfig config;
+  config.shards = 4;
+  config.inner = TableKind::kChaining;
+  config.threads = 2;
+  config.inner_config.expected_n = 256;
+  config.inner_config.target_load = 0.5;
+  ShardedTable table(rig.context(), config);
+
+  const auto keys = distinctKeys(256);
+  std::vector<Op> ops;
+  for (const auto k : keys) ops.push_back(Op::insertOp(k, k + 1));
+  table.applyBatch(ops);
+  // The namespaced primary block names the shard a key routes to.
+  const auto keyOnShard = [&](std::size_t shard) {
+    for (const auto k : keys) {
+      if (ShardedTable::shardOfBlockId(*table.primaryBlockOf(k)) == shard) {
+        return k;
+      }
+    }
+    ADD_FAILURE() << "no key routes to shard " << shard;
+    return keys[0];
+  };
+  const std::uint64_t sick = keyOnShard(0);
+  const std::uint64_t healthy = keyOnShard(1);
+
+  // Shard 0's reads fail for good from now on; a one-key lookup latches it.
+  policy.failOpNumber(IoOpKind::kRead, 1, FaultPolicy::Severity::kPermanent,
+                      FaultPolicy::Durability::kSticky);
+  table.shardDevice(0).setFaultPolicy(&policy);
+  std::optional<std::uint64_t> out;
+  EXPECT_THROW(table.lookupBatch(std::span(&sick, 1), std::span(&out, 1)),
+               PermanentIoError);
+  ASSERT_TRUE(table.shardFailed(0));
+  EXPECT_EQ(table.failedShardCount(), 1u);
+  const std::string stored = table.shardErrors()[0].message;
+
+  // Both one-shard paths rethrow the stored error without touching the
+  // shard: neither its device counters nor its policy's op counts move.
+  const auto device_before = table.shardDevice(0).stats();
+  const auto reads_before = policy.opCount(IoOpKind::kRead);
+  const auto rmws_before = policy.opCount(IoOpKind::kRmw);
+  const Op write = Op::insertOp(sick, 9);
+  try {
+    table.applyBatch(std::span(&write, 1));
+    ADD_FAILURE() << "applyBatch on a latched shard did not throw";
+  } catch (const IoError& e) {
+    EXPECT_EQ(std::string(e.what()), stored);
+  }
+  try {
+    table.lookupBatch(std::span(&sick, 1), std::span(&out, 1));
+    ADD_FAILURE() << "lookupBatch on a latched shard did not throw";
+  } catch (const IoError& e) {
+    EXPECT_EQ(std::string(e.what()), stored);
+  }
+  const auto device_after = table.shardDevice(0).stats();
+  EXPECT_EQ(device_after.reads, device_before.reads);
+  EXPECT_EQ(device_after.writes, device_before.writes);
+  EXPECT_EQ(device_after.rmws, device_before.rmws);
+  EXPECT_EQ(policy.opCount(IoOpKind::kRead), reads_before);
+  EXPECT_EQ(policy.opCount(IoOpKind::kRmw), rmws_before);
+
+  // A healthy shard serves one-key batches; only its series move.
+  const bool was_enabled = obs::enabled();
+  obs::setEnabled(true);
+  auto& registry = obs::MetricsRegistry::global();
+  const auto series = [&](const char* family, std::size_t shard) {
+    return registry
+        .counter(std::string(family) + "{shard=\"" + std::to_string(shard) +
+                 "\"}")
+        .value();
+  };
+  std::vector<std::uint64_t> ops_before, lookups_before;
+  for (std::size_t s = 0; s < table.shardCount(); ++s) {
+    ops_before.push_back(series("exthash_shard_ops_total", s));
+    lookups_before.push_back(series("exthash_shard_lookups_total", s));
+  }
+  const Op update = Op::insertOp(healthy, 77);
+  table.applyBatch(std::span(&update, 1));
+  table.lookupBatch(std::span(&healthy, 1), std::span(&out, 1));
+  obs::setEnabled(was_enabled);
+  EXPECT_EQ(out, std::optional<std::uint64_t>(77));
+  for (std::size_t s = 0; s < table.shardCount(); ++s) {
+    const std::uint64_t moved = s == 1 ? 1 : 0;
+    EXPECT_EQ(series("exthash_shard_ops_total", s), ops_before[s] + moved)
+        << "shard " << s;
+    EXPECT_EQ(series("exthash_shard_lookups_total", s),
+              lookups_before[s] + moved)
+        << "shard " << s;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Flight recorder
 // ---------------------------------------------------------------------------
@@ -760,7 +859,9 @@ ChaosOutcome chaosRun(TableKind kind, std::uint64_t seed, bool faulted) {
   out.retries = io.io_retries;
   out.gave_up = io.io_gave_up;
   // Every injected fault was transient and absorbed: one retry each.
-  if (faulted) EXPECT_EQ(out.retries, out.faults);
+  if (faulted) {
+    EXPECT_EQ(out.retries, out.faults);
+  }
   return out;
 }
 

@@ -11,17 +11,23 @@
 //  * Backpressure: submit blocks once max_pending_batches windows are
 //    sealed and unapplied, and resumes when the worker frees a slot.
 //  * Errors on the worker surface on drain().
+//  * Inline lookups: with the worker owing nothing, a table lookup runs
+//    on the caller's thread (ready future, fail-stop on error), and stays
+//    read-your-writes under two interleaving producers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "extmem/fault.h"
 #include "pipeline/ingest_pipeline.h"
 #include "table_test_util.h"
 #include "tables/factory.h"
@@ -188,6 +194,12 @@ class GatedTable final : public tables::ExternalHashTable {
     return apply_calls_;
   }
 
+  /// The thread that issued the latest lookupBatch.
+  std::thread::id lookupThread() const {
+    std::lock_guard lock(mutex_);
+    return lookup_thread_;
+  }
+
   bool insert(std::uint64_t key, std::uint64_t value) override {
     return inner_->insert(key, value);
   }
@@ -205,6 +217,10 @@ class GatedTable final : public tables::ExternalHashTable {
   }
   void lookupBatch(std::span<const std::uint64_t> keys,
                    std::span<std::optional<std::uint64_t>> out) override {
+    {
+      std::lock_guard lock(mutex_);
+      lookup_thread_ = std::this_thread::get_id();
+    }
     inner_->lookupBatch(keys, out);
   }
   std::size_t size() const override { return inner_->size(); }
@@ -220,6 +236,7 @@ class GatedTable final : public tables::ExternalHashTable {
   std::condition_variable cv_;
   bool open_ = false;
   std::size_t apply_calls_ = 0;
+  std::thread::id lookup_thread_;
 };
 
 std::unique_ptr<GatedTable> makeGated(const TestRig& rig) {
@@ -418,6 +435,147 @@ TEST(PipelineStagingCharge, ShrinkReleasesOnlyAsWindowsDrain) {
   pipe.setWindowCapacity(32);  // growth past the envelope charges at once
   EXPECT_EQ(staging_budget.used(), 32 * words_per_slot);
   pipe.drain();
+}
+
+// ---------------------------------------------------------------------------
+// Inline lookups (the worker owes nothing)
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<tables::ExternalHashTable> makeChaining(const TestRig& rig) {
+  tables::GeneralConfig cfg;
+  cfg.expected_n = 512;
+  cfg.target_load = 0.5;
+  return makeTable(TableKind::kChaining, rig.context(), cfg);
+}
+
+TEST(PipelineInlineLookup, IdleWorkerAnswersOnTheCallersThread) {
+  TestRig rig(8);
+  auto gated = makeGated(rig);
+  gated->open();
+  IngestPipeline pipe(*gated, {.batch_capacity = 16});
+  const auto keys = distinctKeys(100);
+  for (std::size_t i = 0; i < keys.size(); ++i) pipe.insert(keys[i], i + 1);
+  pipe.drain();
+
+  const auto before = pipe.stats();
+  auto hit = pipe.submitLookup(keys[42]);
+  // Ready on return, and answered by this thread: nothing was handed to
+  // the worker.
+  ASSERT_EQ(hit.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(gated->lookupThread(), std::this_thread::get_id());
+  EXPECT_EQ(hit.get(), std::optional<std::uint64_t>(43));
+  EXPECT_EQ(pipe.stats().lookups_from_table, before.lookups_from_table + 1);
+
+  auto miss = pipe.submitLookup(distinctKeys(1, /*seed=*/999)[0]);
+  ASSERT_EQ(miss.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_FALSE(miss.get().has_value());
+  EXPECT_EQ(pipe.stats().lookups_from_table, before.lookups_from_table + 2);
+  EXPECT_EQ(pipe.stats().lookups_from_memory, before.lookups_from_memory);
+}
+
+TEST(PipelineInlineLookup, TableFaultLatchesFailStopAndResetRecovers) {
+  TestRig rig(8);
+  extmem::FaultPolicy policy(17);  // outlives the device's use of it
+  auto table = makeChaining(rig);
+  IngestPipeline pipe(*table, {.batch_capacity = 16});
+  const auto keys = distinctKeys(64);
+  for (std::size_t i = 0; i < keys.size(); ++i) pipe.insert(keys[i], i + 1);
+  pipe.drain();
+
+  policy.failOpNumber(extmem::IoOpKind::kRead, 1,
+                      extmem::FaultPolicy::Severity::kPermanent,
+                      extmem::FaultPolicy::Durability::kSticky);
+  rig.device->setFaultPolicy(&policy);
+
+  auto failed = pipe.submitLookup(keys[3]);
+  ASSERT_EQ(failed.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_THROW((void)failed.get(), extmem::PermanentIoError);
+  EXPECT_EQ(pipe.stats().lookups_failed, 1u);
+  // The inline fault latched fail-stop exactly like a worker fault.
+  EXPECT_THROW(pipe.insert(keys[0], 7), extmem::PermanentIoError);
+  EXPECT_THROW(pipe.drain(), extmem::PermanentIoError);
+
+  policy.clear();
+  pipe.reset();
+  pipe.insert(keys[0], 700);
+  EXPECT_EQ(pipe.submitLookup(keys[3]).get(), std::optional<std::uint64_t>(4));
+  pipe.drain();
+  EXPECT_EQ(table->lookup(keys[0]), std::optional<std::uint64_t>(700));
+}
+
+TEST(PipelineInlineLookup, LookupBehindQueuedMaintenanceResolvesWithoutFlush) {
+  TestRig rig(8);
+  auto table = makeChaining(rig);
+  IngestPipeline pipe(*table, {.batch_capacity = 16});
+  pipe.insert(5, 50);
+  pipe.drain();
+
+  // Park a maintenance task on the worker: the worker now owes something,
+  // so the lookup must queue behind it rather than run inline.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  pipe.submitMaintenance([gate] { gate.wait(); });
+  auto answer = pipe.submitLookup(5);
+  EXPECT_EQ(answer.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+
+  release.set_value();
+  // No flush(): the lookup was dispatched behind the maintenance task.
+  ASSERT_EQ(answer.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(answer.get(), std::optional<std::uint64_t>(50));
+  pipe.drain();
+  EXPECT_EQ(pipe.stats().lookups_from_table, 1u);
+}
+
+TEST(PipelineInlineLookup, TwoProducersReadTheirOwnLatestWrites) {
+  TestRig rig(8);
+  tables::GeneralConfig cfg;
+  cfg.expected_n = 1024;
+  cfg.target_load = 0.5;
+  cfg.shards = 4;
+  cfg.sharded_inner = TableKind::kChaining;
+  cfg.shard_threads = 2;
+  cfg.shard_cache_frames = 16;
+  cfg.shard_cache_write_back = true;
+  auto table = makeTable(TableKind::kSharded, rig.context(), cfg);
+  // Small windows, so lookups hit every path: staged, in flight, inline
+  // on the caller's thread, and batched on the worker.
+  IngestPipeline pipe(*table, {.batch_capacity = 8});
+
+  constexpr std::size_t kKeysPerProducer = 64;
+  constexpr std::size_t kRounds = 1500;
+  std::atomic<std::size_t> wrong{0};
+  const auto produce = [&](std::uint64_t producer) {
+    // Distinct seeds give the two producers disjoint key sets.
+    const auto keys = distinctKeys(kKeysPerProducer, /*seed=*/100 + producer);
+    std::unordered_map<std::uint64_t, std::uint64_t> latest;
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      const std::uint64_t key = keys[(i * 7) % keys.size()];
+      const std::uint64_t value = (producer << 32) | i;
+      pipe.insert(key, value);
+      latest[key] = value;
+      const std::uint64_t probe = keys[(i * 13) % keys.size()];
+      std::optional<std::uint64_t> expected;
+      if (const auto it = latest.find(probe); it != latest.end()) {
+        expected = it->second;
+      }
+      if (pipe.submitLookup(probe).get() != expected) ++wrong;
+      if (i % 250 == 249) pipe.drain();
+    }
+  };
+  std::thread other(produce, 1);
+  produce(0);
+  other.join();
+  pipe.drain();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  const auto st = pipe.stats();
+  EXPECT_EQ(st.lookups_submitted, 2 * kRounds);
+  EXPECT_EQ(st.lookups_submitted,
+            st.lookups_from_memory + st.lookups_from_table);
+  EXPECT_GT(st.lookups_from_table, 0u);
 }
 
 }  // namespace
