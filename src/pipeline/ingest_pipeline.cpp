@@ -94,12 +94,17 @@ void IngestPipeline::sealLookupsLocked() {
         err = std::current_exception();
       }
     }
-    for (std::size_t i = 0; i < batch->size(); ++i) {
-      if (err) (*batch)[i].promise.set_exception(err);
-      else (*batch)[i].promise.set_value(out[i]);
-    }
     {
       util::MutexLock lock(mutex_);
+      // Resolve the futures under the lock that drops the counter: a
+      // producer woken by its answer then finds the worker owing nothing
+      // and answers its next lookup inline. Resolving before taking the
+      // lock let that producer win mutex_ first, on a busy host often, and
+      // every race it won sent one more lookup through the worker.
+      for (std::size_t i = 0; i < batch->size(); ++i) {
+        if (err) (*batch)[i].promise.set_exception(err);
+        else (*batch)[i].promise.set_value(out[i]);
+      }
       if (err && !error_) error_ = err;
       --pending_lookup_tasks_;
       if (err) stats_.lookups_failed += batch->size();

@@ -60,8 +60,11 @@
 // owes nothing: a submitLookup caller answering inline, and drain()'s
 // flush and audit barrier. Every worker task is enqueued under mutex_ and
 // leaves its counter only after it is done with the table, so these never
-// overlap and tables need no internal locking. After drain() returns the
-// table is quiescent and may be inspected directly.
+// overlap and tables need no internal locking. A lookup task resolves its
+// futures in the critical section that leaves its counter, so a producer
+// woken by a worker answer finds the worker owing nothing and answers its
+// next lookup inline, however the threads are scheduled. After drain()
+// returns the table is quiescent and may be inspected directly.
 // The locking discipline is compiler-verified (-Wthread-safety, see
 // util/thread_annotations.h): mutex_ guards every mutable member, the
 // *Locked helpers require it held, and the public surface is annotated

@@ -529,6 +529,36 @@ TEST(PipelineInlineLookup, LookupBehindQueuedMaintenanceResolvesWithoutFlush) {
   EXPECT_EQ(pipe.stats().lookups_from_table, 1u);
 }
 
+TEST(PipelineInlineLookup, LookupAfterAWorkerAnswerRunsInline) {
+  TestRig rig(8);
+  auto table = makeChaining(rig);
+  IngestPipeline pipe(*table, {.batch_capacity = 16});
+  pipe.insert(5, 50);
+  pipe.insert(6, 60);
+  pipe.drain();
+
+  // The worker leaves its lookup counter in the same critical section that
+  // resolves the answers, so a producer woken by a worker answer always
+  // finds the worker owing nothing: its next lookup must run inline, never
+  // queue behind a task that has already answered.
+  for (int round = 0; round < 200; ++round) {
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    pipe.submitMaintenance([gate] { gate.wait(); });
+    auto queued = pipe.submitLookup(5);
+    release.set_value();
+    ASSERT_EQ(queued.get(), std::optional<std::uint64_t>(50));
+
+    auto next = pipe.submitLookup(6);
+    ASSERT_EQ(next.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "round " << round;
+    EXPECT_EQ(next.get(), std::optional<std::uint64_t>(60));
+  }
+  pipe.drain();
+  EXPECT_EQ(pipe.stats().lookups_from_table, 400u);
+}
+
 TEST(PipelineInlineLookup, TwoProducersReadTheirOwnLatestWrites) {
   TestRig rig(8);
   tables::GeneralConfig cfg;
