@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
 
 #include "table_test_util.h"
 
@@ -12,7 +16,48 @@ namespace {
 using exthash::testing::CountingVisitor;
 using exthash::testing::TestRig;
 using exthash::testing::distinctKeys;
+using tables::Op;
 using tables::UnsupportedOperation;
+
+/// Every record of a layout walk as (zone, block, key, value), sorted, so
+/// two tables compare equal iff they hold the same records in the same
+/// blocks. Memory-zone records carry block 0 and zone 0.
+class LayoutRecorder : public tables::LayoutVisitor {
+ public:
+  void memoryItem(const Record& r) override {
+    entries.emplace_back(0, 0, r.key, r.value);
+  }
+  void diskItem(extmem::BlockId block, const Record& r) override {
+    entries.emplace_back(1, block, r.key, r.value);
+  }
+  std::vector<std::uint64_t> memoryKeys() const {
+    std::vector<std::uint64_t> keys;
+    for (const auto& [zone, block, key, value] : entries) {
+      if (zone == 0) keys.push_back(key);
+    }
+    return keys;
+  }
+  /// FNV-1a over the sorted entries.
+  std::uint64_t digest() {
+    std::sort(entries.begin(), entries.end());
+    std::uint64_t h = 1469598103934665603ULL;
+    const auto mix = [&h](std::uint64_t word) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (word >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+      }
+    };
+    for (const auto& [zone, block, key, value] : entries) {
+      mix(zone);
+      mix(block);
+      mix(key);
+      mix(value);
+    }
+    return h;
+  }
+  std::vector<std::tuple<int, extmem::BlockId, std::uint64_t, std::uint64_t>>
+      entries;
+};
 
 TEST(Buffered, InsertLookupRoundTrip) {
   TestRig rig(8);
@@ -161,6 +206,52 @@ TEST(Buffered, RejectsTombstoneSentinelValue) {
   TestRig rig(8);
   BufferedHashTable table(rig.context(), {4, 2, 8});
   EXPECT_THROW(table.insert(1, kTombstoneValue), CheckFailure);
+}
+
+TEST(Buffered, BatchDedupCrossingTheMergePinsIoAndLayout) {
+  // One batch that crosses the Ĥ merge threshold while carrying updates to
+  // H0-resident keys and in-batch duplicates of fresh keys. The fresh keys
+  // must be deduplicated in first-arrival order with the newest value
+  // winning: the order decides which keys join the merge and which refill
+  // the buffer, so it shows in the counted I/O and in the layout.
+  TestRig rig(8);
+  BufferedHashTable table(rig.context(), {4, 2, 16});
+  const auto keys = distinctKeys(400);
+  for (std::size_t i = 0; i < 150; ++i) table.insert(keys[i], i);
+  LayoutRecorder before;
+  table.visitLayout(before);
+  const auto resident = before.memoryKeys();
+  ASSERT_GE(resident.size(), 4u);
+  const std::uint64_t merges_before = table.merges();
+
+  std::vector<Op> ops;
+  std::unordered_map<std::uint64_t, std::uint64_t> newest;
+  const auto push = [&](std::uint64_t key, std::uint64_t value) {
+    ops.push_back(Op::insertOp(key, value));
+    newest[key] = value;
+  };
+  for (std::size_t i = 150; i < 400; ++i) {
+    push(keys[i], 10'000 + i);
+    if (i % 5 == 0) push(keys[i - 3], 20'000 + i);      // re-arrival
+    if (i % 7 == 0) push(resident[i % 4], 30'000 + i);  // H0 update
+    if (i % 11 == 0) push(keys[i], 40'000 + i);         // immediate repeat
+  }
+  const extmem::IoProbe probe(*rig.device);
+  table.applyBatch(ops);
+
+  EXPECT_EQ(probe.reads(), 272u);
+  EXPECT_EQ(probe.writes(), 320u);
+  EXPECT_EQ(probe.rmws(), 0u);
+  EXPECT_EQ(table.merges() - merges_before, 5u);
+  EXPECT_EQ(table.size(), 400u);
+  LayoutRecorder after;
+  table.visitLayout(after);
+  EXPECT_EQ(after.digest(), 14950723198637484367ULL);
+  for (std::size_t i = 0; i < 400; ++i) {
+    const auto it = newest.find(keys[i]);
+    const std::uint64_t want = it != newest.end() ? it->second : i;
+    ASSERT_EQ(table.strictLookup(keys[i]).value(), want) << "key " << i;
+  }
 }
 
 TEST(Buffered, NoBlockLeaksAcrossMerges) {
