@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "tables/meta_words.h"
 
@@ -135,17 +134,31 @@ void BufferedHashTable::applyBatch(std::span<const tables::Op> ops) {
   // Ĥ merge directly, sparing those records the round-trip through the
   // buffer's disk levels, and the tail refills the emptied buffer.
   const auto& h0 = buffer_.memoryTable();
-  std::vector<Record> fresh;  // arrival order, newest value per key
-  std::unordered_map<std::uint64_t, std::size_t> fresh_pos;
   std::vector<tables::Op> updates;
-  for (const tables::Op& op : ops) {
-    if (h0.contains(op.key)) {
-      updates.push_back(op);
-      continue;
-    }
-    const auto [it, inserted] = fresh_pos.try_emplace(op.key, fresh.size());
-    if (inserted) fresh.push_back(Record{op.key, op.value});
-    else fresh[it->second].value = op.value;
+  // Fresh keys in first-arrival order with the newest value per key, from
+  // one flat vector: sort (key, arrival) so a key's arrivals are adjacent,
+  // keep (first, last) arrival per key, and sort those back by first
+  // arrival. A node map here costs an allocation per key.
+  std::vector<std::pair<std::uint64_t, std::size_t>> arrivals;
+  arrivals.reserve(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (h0.contains(ops[i].key)) updates.push_back(ops[i]);
+    else arrivals.emplace_back(ops[i].key, i);
+  }
+  std::sort(arrivals.begin(), arrivals.end());
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < arrivals.size();) {
+    std::size_t j = i + 1;
+    while (j < arrivals.size() && arrivals[j].first == arrivals[i].first) ++j;
+    arrivals[distinct++] = {arrivals[i].second, arrivals[j - 1].second};
+    i = j;
+  }
+  arrivals.resize(distinct);
+  std::sort(arrivals.begin(), arrivals.end());
+  std::vector<Record> fresh;
+  fresh.reserve(distinct);
+  for (const auto& [first, last] : arrivals) {
+    fresh.push_back(Record{ops[first].key, ops[last].value});
   }
   const std::size_t threshold = mergeThreshold();
   const std::size_t buffered = buffer_.bufferedRecords();
@@ -159,6 +172,7 @@ void BufferedHashTable::applyBatch(std::span<const tables::Op> ops) {
         fresh.begin() + static_cast<std::ptrdiff_t>(
                             std::min(need, fresh.size())));
     std::vector<tables::Op> tail;
+    tail.reserve(fresh.size() - head.size());
     for (std::size_t i = head.size(); i < fresh.size(); ++i) {
       tail.push_back(tables::Op::insertOp(fresh[i].key, fresh[i].value));
     }

@@ -171,8 +171,9 @@ template <class Slice>
 void ShardedTable::fanOut(const char* counter_family,
                           const std::vector<Slice>& per_shard,
                           const std::function<void(std::size_t)>& work) {
-  // Only shards with work get a pool task. An idle shard is neither
-  // touched nor recorded (obsRecordShardBatch records nothing for 0 ops).
+  // Only shards with work get a fork-join index, and the caller runs some
+  // of them itself. An idle shard is neither touched nor recorded
+  // (obsRecordShardBatch records nothing for 0 ops).
   std::vector<std::size_t> busy;
   for (std::size_t s = 0; s < per_shard.size(); ++s) {
     if (!per_shard[s].empty()) busy.push_back(s);

@@ -31,11 +31,14 @@
 // Threading: the façade is externally serialized like every table —
 // callers run one operation at a time. A batch whose keys all route to one
 // shard (every one-key batch) runs on the caller's thread. Any other batch
-// fans out via ThreadPool::parallelFor to the shards that have work, and
-// each worker touches exactly one shard's private device/budget/cache/
-// table and no two workers share a shard, so no façade-level mutex exists
-// to annotate; the only lock in the fan-out path is the pool's own
-// annotated mutex (see util/thread_annotations.h).
+// fans out via ThreadPool::parallelFor to the shards that have work: the
+// calling thread runs shard slices itself next to the pool helpers, each
+// claiming whole shards from one counter. A shard is still touched by one
+// thread at a time — each slice touches exactly one shard's private
+// device/budget/cache/table and no two slices share a shard — so no
+// façade-level mutex exists to annotate; the only locks in the fan-out
+// path are the pool's own annotated mutexes (see
+// util/thread_annotations.h).
 // Mutating shared façade state from inside a shard task would be a data
 // race — keep per-shard work confined to that shard's Shard struct
 // (the per-shard error latch below lives there for exactly this reason).

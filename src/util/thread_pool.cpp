@@ -1,5 +1,10 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
+
 namespace exthash {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -52,23 +57,71 @@ void ThreadPool::waitIdle() {
   while (!queue_.empty() || active_ != 0) idle_cv_.wait(lock);
 }
 
-void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
-                             const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(end > begin ? end - begin : 0);
-  for (std::size_t i = begin; i < end; ++i) {
-    futures.push_back(submit([i, &fn] { fn(i); }));
-  }
-  // get() rethrows; let the first exception propagate after all complete.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+// Shared by the caller and its helpers through a shared_ptr. fn is only
+// called for a claimed index, and the caller does not return before every
+// claimed index is done, so fn outlives each of its calls; a helper that
+// claims nothing never touches it.
+struct ThreadPool::ForkJoin {
+  ForkJoin(std::size_t begin_index, std::size_t count,
+           const std::function<void(std::size_t)>& body)
+      : begin(begin_index), n(count), fn(body) {}
+
+  /// Claim and run iterations until every index is claimed.
+  void run() EXTHASH_EXCLUDES(mutex) {
+    for (std::size_t i = next++; i < n; i = next++) {
+      std::exception_ptr failure;
+      try {
+        fn(begin + i);
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      util::MutexLock lock(mutex);
+      if (failure && (!error || i < error_index)) {
+        error = failure;
+        error_index = i;
+      }
+      if (++done == n) finished_cv.notify_all();
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+
+  /// Block until every iteration has finished; rethrow the lowest-indexed
+  /// error.
+  void wait() EXTHASH_EXCLUDES(mutex) {
+    util::MutexLock lock(mutex);
+    while (done != n) finished_cv.wait(lock);
+    if (error) std::rethrow_exception(error);
+  }
+
+  const std::size_t begin;
+  const std::size_t n;
+  const std::function<void(std::size_t)>& fn;
+  std::atomic<std::size_t> next{0};
+  util::Mutex mutex;
+  util::CondVar finished_cv;
+  std::size_t done EXTHASH_GUARDED_BY(mutex) = 0;
+  std::size_t error_index EXTHASH_GUARDED_BY(mutex) = 0;
+  std::exception_ptr error EXTHASH_GUARDED_BY(mutex);
+};
+
+void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
+                             const std::function<void(std::size_t)>& fn) {
+  if (end <= begin) return;
+  const std::size_t n = end - begin;
+  if (n == 1) {
+    fn(begin);
+    return;
+  }
+  auto job = std::make_shared<ForkJoin>(begin, n, fn);
+  const std::size_t helpers = std::min(n - 1, threadCount());
+  {
+    util::MutexLock lock(mutex_);
+    for (std::size_t h = 0; h < helpers; ++h) {
+      queue_.emplace_back([job] { job->run(); });
+    }
+  }
+  for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
+  job->run();
+  job->wait();
 }
 
 }  // namespace exthash

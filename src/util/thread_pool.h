@@ -1,14 +1,25 @@
 // Fixed-size thread pool used to run independent benchmark sweep points in
-// parallel and to back the ingest pipeline's background apply worker. Each
+// parallel, to fan the sharded façade's batches out across its shards,
+// and to back the ingest pipeline's background apply worker. Each
 // benchmark sweep point owns its own simulated device and RNG seed, so
 // points are embarrassingly parallel and results stay deterministic; a
 // single-thread pool doubles as a FIFO serial executor (tasks run in
 // submission order), which is what the pipeline relies on.
 //
+// parallelFor is a fork-join in which the calling thread is one of the
+// participants: it and up to min(n - 1, threadCount()) helper queue
+// entries claim indices from one shared atomic counter, so the caller
+// runs iterations itself instead of sleeping through a hand-off, and no
+// future is created. The per-call state is shared by the caller and its
+// helpers, so a helper that wakes after every index was claimed (even
+// after the call returned) claims nothing and exits without touching fn.
+//
 // Locking discipline (compiler-verified, see util/thread_annotations.h):
 // mutex_ guards the queue, the active-task count, and the stop flag;
 // every public method acquires it internally, so the pool is safe to use
 // from any number of submitter threads concurrently with its workers.
+// A parallelFor call's completion count and first error sit under that
+// call's own mutex.
 #pragma once
 
 #include <cstddef>
@@ -49,10 +60,15 @@ class ThreadPool {
     return fut;
   }
 
-  /// Run fn(i) for i in [begin, end) across the pool; rethrows the first
-  /// exception raised by any iteration.
+  /// Run fn(i) for every i in [begin, end): the caller and up to
+  /// min(n - 1, threadCount()) helpers claim indices until none is left
+  /// (n == 1 runs on the caller's thread and enqueues nothing). Returns
+  /// once every iteration has finished; if any threw, rethrows the error
+  /// of the lowest index that threw. Any number of threads may call it at
+  /// once, a pool task included: the caller alone can finish the range.
   void parallelFor(std::size_t begin, std::size_t end,
-                   const std::function<void(std::size_t)>& fn);
+                   const std::function<void(std::size_t)>& fn)
+      EXTHASH_EXCLUDES(mutex_);
 
   /// Tasks not yet finished: queued plus currently executing. A snapshot —
   /// by the time the caller looks, more tasks may have been submitted or
@@ -64,6 +80,8 @@ class ThreadPool {
   void waitIdle() EXTHASH_EXCLUDES(mutex_);
 
  private:
+  struct ForkJoin;  // one parallelFor call's shared state
+
   void workerLoop() EXTHASH_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
