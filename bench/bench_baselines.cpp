@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
   });
 
   TablePrinter out({"structure", "tu (insert I/O)", "tq mean", "tq final",
-                    "tq miss", "mem peak (words)", "disk blocks",
-                    "wall sec"});
+                    "tq miss", "mem peak (words)", "disk blocks"});
   for (const auto& row : rows) {
     out.addRow({std::string(tables::tableKindName(row.kind)),
                 TablePrinter::num(row.m.tu, 4),
@@ -84,8 +83,7 @@ int main(int argc, char** argv) {
                 TablePrinter::num(row.m.tq_final, 4),
                 TablePrinter::num(row.m.tq_unsuccessful, 4),
                 TablePrinter::num(std::uint64_t{row.mem_words}),
-                TablePrinter::num(std::uint64_t{row.disk_blocks}),
-                TablePrinter::num(row.m.wall_seconds, 3)});
+                TablePrinter::num(std::uint64_t{row.disk_blocks})});
   }
   out.print(std::cout);
   bench::saveCsv(out, "baselines");

@@ -1,7 +1,6 @@
 #include "workload/runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <vector>
 
 #include "util/assert.h"
@@ -73,7 +72,6 @@ TradeoffMeasurement runMeasurement(tables::ExternalHashTable& table,
 
   TradeoffMeasurement out;
   out.n = config.n;
-  const auto t0 = std::chrono::steady_clock::now();
 
   // Insert I/O = total I/O minus the query-sampling I/O measured at the
   // checkpoints. A cache the caller attached is flushed at each one, so
@@ -106,8 +104,6 @@ TradeoffMeasurement runMeasurement(tables::ExternalHashTable& table,
   }
   table.flushCache();
 
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   out.insert_io = table.ioStats() - start_io - query_io;
   out.tu = static_cast<double>(out.insert_io.cost()) /
            static_cast<double>(config.n);

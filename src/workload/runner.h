@@ -34,7 +34,6 @@ struct TradeoffMeasurement {
   RunningStat checkpoint_costs;     // per-checkpoint successful averages
   extmem::IoStats insert_io;        // raw insert I/O breakdown
   std::uint64_t n = 0;
-  double wall_seconds = 0.0;
 };
 
 /// Insert `n` keys from `keys` into `table`, sampling query costs at
