@@ -1,5 +1,5 @@
-// Shared scaffolding for the experiment binaries: rig construction, the
-// standard measurement protocol, and result folders.
+// Shared scaffolding for the experiment binaries: rig construction,
+// device specs, content checksums, and result folders.
 #pragma once
 
 #include <algorithm>
@@ -59,28 +59,6 @@ inline extmem::StorageOptions parseDeviceSpec(const std::string& spec,
     options.backend = extmem::StorageOptions::Backend::kMemory;
   }
   return options;
-}
-
-/// Run the standard protocol for one (kind, b, n) point.
-inline workload::TradeoffMeasurement measurePoint(
-    tables::TableKind kind, std::size_t b, std::size_t n,
-    std::size_t buffer_items, std::size_t beta, std::uint64_t seed,
-    std::size_t queries = 256) {
-  Rig rig(b, /*memory_words=*/0, deriveSeed(seed, 1));
-  tables::GeneralConfig cfg;
-  cfg.expected_n = n;
-  cfg.target_load = 0.5;
-  cfg.buffer_items = buffer_items;
-  cfg.beta = beta;
-  cfg.gamma = 2;
-  auto table = makeTable(kind, rig.context(), cfg);
-  workload::DistinctKeyStream keys(deriveSeed(seed, 2));
-  workload::MeasurementConfig mc;
-  mc.n = n;
-  mc.queries_per_checkpoint = queries;
-  mc.checkpoints = 6;
-  mc.seed = deriveSeed(seed, 3);
-  return workload::runMeasurement(*table, keys, mc);
 }
 
 /// Order-independent checksum of a table's live content over a key
