@@ -16,6 +16,7 @@
 #include "extmem/memory_budget.h"
 #include "hashfn/hash_family.h"
 #include "tables/factory.h"
+#include "util/assert.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "workload/keygen.h"
@@ -42,8 +43,9 @@ struct Rig {
 
 /// Parse a --device spec into StorageOptions: "mem" (the default
 /// in-memory backend), "file" (backing files under the system temp
-/// directory), or "file:<dir>". `direct` requests O_DIRECT on file
-/// backends (best effort — tmpfs falls back to buffered I/O).
+/// directory), or "file:<dir>"; anything else throws CheckFailure.
+/// `direct` requests O_DIRECT on file backends (best effort — tmpfs falls
+/// back to buffered I/O).
 inline extmem::StorageOptions parseDeviceSpec(const std::string& spec,
                                               bool direct = false) {
   extmem::StorageOptions options;
@@ -53,10 +55,10 @@ inline extmem::StorageOptions parseDeviceSpec(const std::string& spec,
   constexpr std::string_view kFilePrefix = "file:";
   if (spec.rfind(kFilePrefix, 0) == 0) {
     options.directory = spec.substr(kFilePrefix.size());
-  } else if (spec != "file") {
-    std::cerr << "unknown --device spec '" << spec
-              << "' (want mem | file | file:<dir>); using mem\n";
-    options.backend = extmem::StorageOptions::Backend::kMemory;
+  } else {
+    EXTHASH_CHECK_MSG(spec == "file",
+                      "unknown --device spec '"
+                          << spec << "' (want mem | file | file:<dir>)");
   }
   return options;
 }
