@@ -38,8 +38,8 @@ struct GeneralConfig {
   /// γ for logarithmic-method structures; LSM fanout.
   std::size_t gamma = 2;
   /// kSharded only: shard count, inner table kind, and dispatch threads
-  /// (0 = hardware concurrency). expected_n / buffer_items / the memory
-  /// budget are divided across shards.
+  /// (0 = ShardedTableConfig::threads' default). expected_n / buffer_items
+  /// / the memory budget are divided across shards.
   std::size_t shards = 4;
   TableKind sharded_inner = TableKind::kBuffered;
   std::size_t shard_threads = 0;

@@ -33,16 +33,21 @@ void obsRecordShardBatch(const char* counter_family, std::size_t shard,
       .set(static_cast<double>(table.size()));
 }
 
+// The caller runs one slice of every fan-out, so a batch over `shards`
+// shards has work for at most shards - 1 helpers.
+std::size_t defaultPoolThreads(std::size_t shards) {
+  const std::size_t workers = std::min<std::size_t>(
+      shards, std::max(1u, std::thread::hardware_concurrency()));
+  return workers > 1 ? workers - 1 : 1;
+}
+
 }  // namespace
 
 ShardedTable::ShardedTable(TableContext ctx, ShardedTableConfig config)
     : ExternalHashTable(ctx),
       config_(config),
-      pool_(config.threads != 0
-                ? config.threads
-                : std::min<std::size_t>(
-                      config.shards,
-                      std::max(1u, std::thread::hardware_concurrency()))) {
+      pool_(config.threads != 0 ? config.threads
+                                : defaultPoolThreads(config.shards)) {
   EXTHASH_CHECK_MSG(config_.shards >= 1, "need at least one shard");
   EXTHASH_CHECK_MSG(config_.shards <= kMaxShards,
                     "shard count exceeds the block-id namespace ("

@@ -81,7 +81,9 @@ struct ShardedTableConfig {
   TableKind inner = TableKind::kBuffered;
   /// Config template for the inner tables; per-shard sizes are derived.
   GeneralConfig inner_config;
-  /// Dispatch threads (0 = hardware concurrency).
+  /// Pool threads that help the calling thread fan a batch out across
+  /// shards. 0 = min(shards, hardware threads) - 1, at least 1: the caller
+  /// runs one slice itself, so more helpers than that never get a task.
   std::size_t threads = 0;
   /// Total block-cache frames distributed exactly across the shards
   /// (shard s gets floor(total/N) frames, +1 for the first total mod N
