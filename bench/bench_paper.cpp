@@ -101,56 +101,46 @@ void fig1() {
   TablePrinter out({"b", "c", "construction", "tq target", "tq measured",
                     "tu lower bound", "tu measured", "tu upper pred",
                     "regime"});
-  const workload::MeasurementConfig chain_mc{kN, 512, 6,
-                                             deriveSeed(kSeed, 12)};
-  const workload::MeasurementConfig buffered_mc{kN, 512, 6,
-                                                deriveSeed(kSeed, 22)};
-  const auto run_buffered = [&](std::size_t b,
-                                const core::BufferedConfig& cfg) {
-    return measure(b, deriveSeed(kSeed, 20), deriveSeed(kSeed, 21),
-                   buffered_mc, buffered(cfg))
-        .m;
+  // One row per (b, c): the measured point between its two bounds.
+  const auto add = [&](std::size_t b, double c, const std::string& construction,
+                       double tq_target, const workload::TradeoffMeasurement& m,
+                       double tu_upper) {
+    out.addRow({TablePrinter::num(std::uint64_t{b}), TablePrinter::num(c, 2),
+                construction, TablePrinter::num(tq_target, 6),
+                TablePrinter::num(m.tq_mean, 6),
+                TablePrinter::num(core::theorem1LowerBound(c, b), 4),
+                TablePrinter::num(m.tu, 4), TablePrinter::num(tu_upper, 4),
+                std::string(core::regimeName(core::classifyRegime(c)))});
+  };
+  const auto add_buffered = [&](std::size_t b, double c, double tq_target,
+                                const core::BufferedConfig& cfg,
+                                double tu_upper) {
+    const auto m = measure(b, deriveSeed(kSeed, 20), deriveSeed(kSeed, 21),
+                           {kN, 512, 6, deriveSeed(kSeed, 22)}, buffered(cfg))
+                       .m;
+    add(b, c, "buffered β=" + std::to_string(cfg.beta), tq_target, m,
+        tu_upper);
   };
 
   for (const std::size_t b : {64u, 256u}) {
-    // Regime c > 1 and the boundary's "query side": the standard table.
+    // Regime c > 1 and the boundary's "query side": the standard table,
+    // whose run does not depend on c.
+    const auto chain =
+        measure(b, deriveSeed(kSeed, 10), deriveSeed(kSeed, 11),
+                {kN, 512, 6, deriveSeed(kSeed, 12)},
+                chaining(std::max<std::uint64_t>(1, 2 * kN / b)))
+            .m;
     for (const double c : {2.0, 1.5}) {
-      const auto m = measure(b, deriveSeed(kSeed, 10), deriveSeed(kSeed, 11),
-                             chain_mc,
-                             chaining(std::max<std::uint64_t>(1, 2 * kN / b)))
-                         .m;
-      out.addRow({TablePrinter::num(std::uint64_t{b}), TablePrinter::num(c, 2),
-                  "chaining (std)",
-                  TablePrinter::num(1.0 + std::pow((double)b, -c), 6),
-                  TablePrinter::num(m.tq_mean, 6),
-                  TablePrinter::num(core::theorem1LowerBound(c, b), 4),
-                  TablePrinter::num(m.tu, 4), TablePrinter::num(1.0, 4),
-                  std::string(core::regimeName(core::classifyRegime(c)))});
+      add(b, c, "chaining (std)", 1.0 + std::pow((double)b, -c), chain, 1.0);
     }
     // Boundary c = 1: the ε-insertion variant.
-    {
-      const auto cfg = core::BufferedConfig::forInsertBudget(0.5, b, kH0);
-      const auto m = run_buffered(b, cfg);
-      out.addRow({TablePrinter::num(std::uint64_t{b}), TablePrinter::num(1.0, 2),
-                  "buffered β=" + std::to_string(cfg.beta),
-                  TablePrinter::num(1.0 + 1.0 / (double)b, 6),
-                  TablePrinter::num(m.tq_mean, 6),
-                  TablePrinter::num(core::theorem1LowerBound(1.0, b), 4),
-                  TablePrinter::num(m.tu, 4), TablePrinter::num(0.5, 4),
-                  std::string(core::regimeName(core::Regime::kBoundary))});
-    }
+    add_buffered(b, 1.0, 1.0 + 1.0 / (double)b,
+                 core::BufferedConfig::forInsertBudget(0.5, b, kH0), 0.5);
     // Regime c < 1: Theorem 2 with β = b^c.
     for (const double c : {0.75, 0.5, 0.25}) {
-      const auto cfg = core::BufferedConfig::forQueryExponent(c, b, kH0);
-      const auto pred = core::theorem2Upper(c, b, kN, kH0, 2);
-      const auto m = run_buffered(b, cfg);
-      out.addRow({TablePrinter::num(std::uint64_t{b}), TablePrinter::num(c, 2),
-                  "buffered β=" + std::to_string(cfg.beta),
-                  TablePrinter::num(1.0 + std::pow((double)b, -c), 6),
-                  TablePrinter::num(m.tq_mean, 6),
-                  TablePrinter::num(core::theorem1LowerBound(c, b), 4),
-                  TablePrinter::num(m.tu, 4), TablePrinter::num(pred.tu, 4),
-                  std::string(core::regimeName(core::Regime::kRelaxed))});
+      add_buffered(b, c, 1.0 + std::pow((double)b, -c),
+                   core::BufferedConfig::forQueryExponent(c, b, kH0),
+                   core::theorem2Upper(c, b, kN, kH0, 2).tu);
     }
   }
 
