@@ -1,6 +1,6 @@
-# Golden-output check for the paper benches:
+# Golden-output check for bench_paper's figures:
 #
-#   cmake -DBENCH=<exe> [-DARGS=<arg>] -DGOLDEN=<file> -P check_golden.cmake
+#   cmake -DBENCH=<exe> -DARGS=--figure=<f> -DGOLDEN=<file> -P check_golden.cmake
 #
 # Runs BENCH and fails unless it exits 0 and its stdout equals GOLDEN byte
 # for byte. On a difference it prints a unified diff and leaves the actual
